@@ -14,7 +14,7 @@
 //   MOTSIM_FULL=1      run the complete roster (including the giants)
 //   MOTSIM_VECTORS=n   override the random-sequence length (default 200)
 //   MOTSIM_SEED=n      override the workload seed
-//   MOTSIM_PARALLEL=1  bit-parallel X01 engine where supported
+//   MOTSIM_SIM3_BACKEND=event|bitpar  X01 engine (default bitpar)
 
 #include <cstdio>
 #include <string>

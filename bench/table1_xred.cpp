@@ -16,7 +16,6 @@
 #include "core/xred.h"
 #include "faults/collapse.h"
 #include "sim3/fault_simulator.h"
-#include "util/env.h"
 #include "tpg/sequences.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -47,12 +46,9 @@ int main() {
     const double idx_s = t_idx.elapsed_seconds();
     const std::size_t xred = xr.count_x_redundant(collapsed.faults());
 
-    // MOTSIM_PARALLEL=1 swaps in the bit-parallel X01 engine
-    // (identical results; different cost model); otherwise the
-    // MOTSIM_SIM3_BACKEND default applies.
-    const Sim3Backend backend = env_flag("MOTSIM_PARALLEL")
-                                    ? Sim3Backend::BitPar
-                                    : default_sim3_backend();
+    // The process default (MOTSIM_SIM3_BACKEND picks the engine;
+    // identical results, different cost model).
+    const Sim3Backend backend = default_sim3_backend();
     auto simulate = [&](bool pruned_run) {
       std::vector<FaultStatus> init(
           collapsed.size(), FaultStatus::Undetected);

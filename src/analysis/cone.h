@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "circuit/netlist.h"
@@ -14,6 +15,23 @@ namespace motsim {
 enum class ConeDir : std::uint8_t {
   Forward,   ///< follow fanouts (cone of influence)
   Backward,  ///< follow fanins (support cone)
+};
+
+/// CSR-flattened adjacency of a finalized netlist in one direction:
+/// fanout nodes (Forward) or present fanins (Backward). Indexable like
+/// successor lists, so it plugs straight into tarjan_scc
+/// (analysis/scc.h).
+class NodeAdjacency {
+ public:
+  NodeAdjacency(const Netlist& netlist, ConeDir dir);
+
+  [[nodiscard]] std::span<const NodeIndex> operator[](NodeIndex node) const {
+    return {edges_.data() + offset_[node], offset_[node + 1] - offset_[node]};
+  }
+
+ private:
+  std::vector<std::uint32_t> offset_;
+  std::vector<NodeIndex> edges_;
 };
 
 /// Single shared BFS/reach implementation over a CSR-flattened view of
@@ -64,14 +82,45 @@ class ConeWalker {
 
  private:
   const Netlist* netlist_;
-  // CSR adjacency, one flattened edge array per direction.
-  std::vector<std::uint32_t> fwd_offset_;
-  std::vector<NodeIndex> fwd_edges_;
-  std::vector<std::uint32_t> bwd_offset_;
-  std::vector<NodeIndex> bwd_edges_;
+  NodeAdjacency fwd_;
+  NodeAdjacency bwd_;
   std::vector<std::uint32_t> mark_;  ///< epoch stamps, no per-run clear
   std::uint32_t gen_ = 0;
   std::vector<NodeIndex> visited_;
+};
+
+/// The gate graph's forward reach (fanouts, crossing flip-flops — what
+/// a ConeWalker Forward run with cross_dffs reaches) condensed into its
+/// strongly connected components. All nodes of one SCC reach the same
+/// set, so a per-node reach fact is folded once per SCC, in Tarjan
+/// completion order: every successor SCC is finished before its
+/// predecessors. One O(N+E) pass answers for every node what a
+/// per-fault forward walk answers for one (O(F·N) over a fault list).
+class ForwardCondensation {
+ public:
+  explicit ForwardCondensation(const Netlist& netlist);
+
+  /// Per node: the max of own[m] over every node m it reaches (itself
+  /// included). `own` is indexed by node.
+  [[nodiscard]] std::vector<std::uint32_t> max_over_reach(
+      const std::vector<std::uint32_t>& own) const;
+
+  /// ConeSummary::signature of a divergence at each of `origins`: the
+  /// FNV-1a hash of the reached observation set (output positions,
+  /// then flip-flop positions), built as one bitset union per SCC and
+  /// hashed once per distinct SCC. kNoNode or out-of-range origins
+  /// reach nothing.
+  [[nodiscard]] std::vector<std::uint64_t> observation_signatures(
+      const std::vector<NodeIndex>& origins) const;
+
+ private:
+  const Netlist* netlist_;
+  NodeAdjacency fwd_;
+  std::vector<std::uint32_t> scc_id_;  ///< per node, completion order
+  std::uint32_t scc_count_ = 0;
+  // Members of each SCC, grouped by id (CSR).
+  std::vector<std::uint32_t> member_offset_;
+  std::vector<NodeIndex> members_;
 };
 
 /// Per-fault cone-of-influence summary (docs/ANALYSIS.md, trimming
@@ -139,8 +188,9 @@ class ConeAnalysis {
 /// influence become shard neighbours: clusters keep their
 /// first-occurrence order and members their relative order, so the
 /// result is a pure function of (netlist, faults, live) — never of
-/// thread count or scheduling. Used by ParallelSymSim's cluster-aware
-/// shard assignment (docs/DESIGN.md).
+/// thread count or scheduling. Signatures come from one
+/// ForwardCondensation, not a walk per fault. Used by ParallelSymSim's
+/// cluster-aware shard assignment (docs/DESIGN.md).
 [[nodiscard]] std::vector<std::size_t> cluster_live_order(
     const Netlist& netlist, const std::vector<Fault>& faults,
     const std::vector<std::size_t>& live);

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "analysis/cone.h"
+#include "analysis/scc.h"
 #include "circuit/stats.h"
 
 namespace motsim {
@@ -11,67 +12,6 @@ namespace motsim {
 namespace {
 
 constexpr std::uint32_t kUnvisited = 0xFFFFFFFFu;
-
-/// Iterative Tarjan over the subgraph induced by `active`, following
-/// successor lists. Fills scc_id (kUnvisited for inactive vertices)
-/// and returns the number of SCCs. Ids follow completion order — a
-/// reverse topological order of the condensation.
-std::uint32_t tarjan_scc(const std::vector<std::vector<std::uint32_t>>& succ,
-                         const std::vector<std::uint8_t>& active,
-                         std::vector<std::uint32_t>& scc_id) {
-  const std::uint32_t n = static_cast<std::uint32_t>(succ.size());
-  std::vector<std::uint32_t> index(n, kUnvisited);
-  std::vector<std::uint32_t> low(n, 0);
-  std::vector<std::uint8_t> on_stack(n, 0);
-  std::vector<std::uint32_t> stack;
-  struct Frame {
-    std::uint32_t v;
-    std::uint32_t edge;
-  };
-  std::vector<Frame> call;
-  std::uint32_t next_index = 0;
-  std::uint32_t scc_count = 0;
-  scc_id.assign(n, kUnvisited);
-
-  for (std::uint32_t root = 0; root < n; ++root) {
-    if (!active[root] || index[root] != kUnvisited) continue;
-    index[root] = low[root] = next_index++;
-    stack.push_back(root);
-    on_stack[root] = 1;
-    call.push_back({root, 0});
-    while (!call.empty()) {
-      const std::uint32_t v = call.back().v;
-      if (call.back().edge < succ[v].size()) {
-        const std::uint32_t w = succ[v][call.back().edge++];
-        if (!active[w]) continue;
-        if (index[w] == kUnvisited) {
-          index[w] = low[w] = next_index++;
-          stack.push_back(w);
-          on_stack[w] = 1;
-          call.push_back({w, 0});
-        } else if (on_stack[w]) {
-          low[v] = std::min(low[v], index[w]);
-        }
-      } else {
-        call.pop_back();
-        if (!call.empty()) {
-          low[call.back().v] = std::min(low[call.back().v], low[v]);
-        }
-        if (low[v] == index[v]) {
-          for (;;) {
-            const std::uint32_t w = stack.back();
-            stack.pop_back();
-            on_stack[w] = 0;
-            scc_id[w] = scc_count;
-            if (w == v) break;
-          }
-          ++scc_count;
-        }
-      }
-    }
-  }
-  return scc_count;
-}
 
 [[nodiscard]] bool has_self_loop(const SgraphInfo& info, std::uint32_t v) {
   return std::binary_search(info.preds[v].begin(), info.preds[v].end(), v);
@@ -118,7 +58,8 @@ SgraphInfo build_sgraph(const Netlist& nl) {
 
   const std::vector<std::vector<std::uint32_t>> succ = successors(info);
   std::vector<std::uint8_t> active(n, 1);
-  info.scc_count = tarjan_scc(succ, active, info.scc_id);
+  info.scc_count = tarjan_scc(static_cast<std::uint32_t>(n), succ, active,
+                              info.scc_id);
 
   // Nontrivial SCCs: size >= 2, or a single vertex with a self-loop.
   std::vector<std::uint32_t> scc_size(info.scc_count, 0);
@@ -210,32 +151,24 @@ SgraphPlan build_sgraph_plan(const Netlist& nl, const SgraphInfo& info,
   plan.nontrivial_sccs = info.nontrivial_scc_count;
   plan.horizon.reserve(faults.size());
 
-  // Horizon of each output NET (positions of one net share a support,
-  // hence a horizon), so the per-fault pass can max over the visited
-  // node list instead of probing every output position.
+  // A fault's horizon is the max output horizon over its forward cone
+  // of influence, crossing flip-flop boundaries (observation over any
+  // number of frames). Every node of one SCC of the gate graph shares
+  // that cone, so one condensation DP answers for all nodes at once.
+  // Positions of one output net share a support, hence a horizon.
   std::vector<std::uint32_t> net_horizon(nl.node_count(), 0);
-  std::vector<std::uint8_t> is_out(nl.node_count(), 0);
   for (std::size_t j = 0; j < nl.output_count(); ++j) {
     const NodeIndex o = nl.outputs()[j];
-    is_out[o] = 1;
     net_horizon[o] = std::max(net_horizon[o], info.output_horizon[j]);
   }
+  const std::vector<std::uint32_t> reach_horizon =
+      ForwardCondensation(nl).max_over_reach(net_horizon);
 
-  ConeWalker walker(nl);
   for (const Fault& f : faults) {
-    if (f.site.node == kNoNode || f.site.node >= nl.node_count()) {
-      // Malformed site: never downgrade.
-      plan.horizon.push_back(kInfDepth);
-      continue;
-    }
-    // Forward cone of influence of the divergence origin, crossing
-    // flip-flop boundaries (observation over any number of frames).
-    walker.run(ConeDir::Forward, {f.site.node}, /*cross_dffs=*/true);
-    std::uint32_t h = 0;
-    for (const NodeIndex m : walker.visited()) {
-      if (is_out[m]) h = std::max(h, net_horizon[m]);
-    }
-    plan.horizon.push_back(h);
+    // Malformed site: never downgrade.
+    plan.horizon.push_back(f.site.node < nl.node_count()
+                               ? reach_horizon[f.site.node]
+                               : kInfDepth);
   }
   return plan;
 }
@@ -253,7 +186,7 @@ std::vector<std::uint32_t> greedy_feedback_set(const SgraphInfo& info) {
   std::vector<std::uint32_t> result;
 
   for (;;) {
-    tarjan_scc(succ, active, scc_id);
+    tarjan_scc(n, succ, active, scc_id);
     std::vector<std::uint32_t> scc_size;
     for (std::uint32_t v = 0; v < n; ++v) {
       if (!active[v]) continue;

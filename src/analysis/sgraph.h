@@ -101,7 +101,9 @@ struct SgraphPlan {
   }
 };
 
-/// Builds a SgraphPlan for `faults` from an already-built SgraphInfo.
+/// Builds a SgraphPlan for `faults` from an already-built SgraphInfo,
+/// in one ForwardCondensation pass over the gate graph (O(N+E) for the
+/// whole list, analysis/cone.h).
 [[nodiscard]] SgraphPlan build_sgraph_plan(const Netlist& netlist,
                                            const SgraphInfo& info,
                                            const std::vector<Fault>& faults);

@@ -95,15 +95,23 @@ HybridResult HybridFaultSim::run(
   // alive so gc pressure — and hence every fallback decision — matches
   // the untrimmed run.
   TrimPlan plan;
-  if (config_.trim) {
-    plan = trim_plan_ ? *trim_plan_ : build_trim_plan(nl, faults_);
+  if (config_.trim && trim_plan_) {
+    plan = *trim_plan_;
+  } else if (config_.trim) {
+    const obs::SpanTracer::Span plan_span =
+        obs::open_span(telemetry_, "plan.trim");
+    plan = build_trim_plan(nl, faults_);
   }
   // S-graph observation horizons for the rMOT/MOT downgrade. Horizons
   // are epoch-relative: every re-seed of the symbolic state variables
   // (window exit, checkpoint sync, resume) restarts the clock.
   SgraphPlan splan;
-  if (config_.sgraph) {
-    splan = sgraph_plan_ ? *sgraph_plan_ : build_sgraph_plan(nl, faults_);
+  if (config_.sgraph && sgraph_plan_) {
+    splan = *sgraph_plan_;
+  } else if (config_.sgraph) {
+    const obs::SpanTracer::Span plan_span =
+        obs::open_span(telemetry_, "plan.sgraph");
+    splan = build_sgraph_plan(nl, faults_);
   }
   // Three-valued engine behind the fallback windows; the backend is a
   // pure performance knob (bit-identical results). Runs serially —

@@ -143,14 +143,14 @@ HybridResult ParallelSymSim::run(
   // Cluster-aware shard assignment: group faults by shared cone of
   // influence before cutting chunks (deterministic — see the class
   // comment). A resumed run recomputes the identical partition because
-  // the reorder depends on nothing but the inputs validated below.
-  if (config_.hybrid.trim) {
-    live = cluster_live_order(*netlist_, faults_, live);
-  }
-  // One global trimming plan, sliced per chunk below; building it once
-  // here keeps the per-shard setup cost flat in the chunk count.
+  // the reorder depends on nothing but the inputs validated below. One
+  // global trimming plan goes with it, sliced per chunk below; building
+  // it once here keeps the per-shard setup cost flat in the chunk count.
   TrimPlan plan;
   if (config_.hybrid.trim) {
+    const obs::SpanTracer::Span plan_span =
+        obs::open_span(telemetry_, "plan.trim");
+    live = cluster_live_order(*netlist_, faults_, live);
     plan = trim_plan_ ? *trim_plan_ : build_trim_plan(*netlist_, faults_);
   }
   // Likewise one global s-graph plan. Its horizons also refine the
@@ -161,6 +161,8 @@ HybridResult ParallelSymSim::run(
   // Stable + pure function of the fault list, so still deterministic.
   SgraphPlan splan;
   if (config_.hybrid.sgraph) {
+    const obs::SpanTracer::Span plan_span =
+        obs::open_span(telemetry_, "plan.sgraph");
     splan =
         sgraph_plan_ ? *sgraph_plan_ : build_sgraph_plan(*netlist_, faults_);
     std::stable_sort(live.begin(), live.end(),

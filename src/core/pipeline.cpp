@@ -61,11 +61,8 @@ PipelineResult run_pipeline(const Netlist& netlist,
   // ---- Stage 0: sequence-independent static analysis ---------------------
   std::vector<FaultStatus> status(faults.size(), FaultStatus::Undetected);
   std::vector<ConstVal> tied;  // nonempty => constants for the symbolic stage
-  // Implication-enriched trimming plan for the symbolic stage: its
-  // settled constants subsume the structural ones the engines would
-  // otherwise derive themselves. Only built when the analysis stage
-  // paid for the engine anyway.
-  std::optional<TrimPlan> trim_plan;
+  // Kept for the symbolic stage's implication-enriched trimming plan.
+  std::optional<ImplicationEngine> eng;
   if (config.analysis) {
     std::optional<obs::SpanTracer::Span> span;
     if (telemetry != nullptr) span = telemetry->tracer.span("stage.analysis");
@@ -75,23 +72,20 @@ PipelineResult run_pipeline(const Netlist& netlist,
     status = sa.classify(faults);
     // The implication engine only upgrades faults the cheaper
     // structural pass left Undetected, so the two counts stay disjoint.
-    const ImplicationEngine eng(netlist);
-    result.static_untestable = eng.classify(faults, status);
-    if (eng.tied_constant_count() != 0) tied = eng.tied_constants();
-    if (config.run_symbolic && config.hybrid.trim) {
-      trim_plan = build_trim_plan(eng, faults);
-    }
+    eng.emplace(netlist);
+    result.static_untestable = eng->classify(faults, status);
+    if (eng->tied_constant_count() != 0) tied = eng->tied_constants();
     result.seconds_analysis = timer.elapsed_seconds();
     for (FaultStatus s : status) {
       if (s == FaultStatus::StaticXRed) ++result.static_x_redundant;
     }
     if (telemetry != nullptr) {
       telemetry->metrics.counter("analysis.implications_learned")
-          .add(eng.stats().learned_implications);
+          .add(eng->stats().learned_implications);
       telemetry->metrics.counter("analysis.faults_pruned")
           .add(result.static_x_redundant + result.static_untestable);
       telemetry->metrics.counter("analysis.constants_tied")
-          .add(eng.tied_constant_count());
+          .add(eng->tied_constant_count());
     }
     finish_stage(telemetry, progress, span, "analysis",
                  result.seconds_analysis);
@@ -158,11 +152,23 @@ PipelineResult run_pipeline(const Netlist& netlist,
     if (telemetry != nullptr) span = telemetry->tracer.span("stage.symbolic");
     begin_stage(telemetry, "symbolic");
     Stopwatch timer;
+    // Implication-enriched trimming plan: its settled constants subsume
+    // the structural ones the engines would otherwise derive
+    // themselves. Only built when the analysis stage paid for the
+    // engine anyway.
+    std::optional<TrimPlan> trim_plan;
+    if (eng && config.hybrid.trim) {
+      const obs::SpanTracer::Span plan_span =
+          obs::open_span(telemetry, "plan.trim");
+      trim_plan = build_trim_plan(*eng, faults);
+    }
     // S-graph plan for the MOT/rMOT -> SOT downgrade, built once here
     // so serial and parallel runs (and every shard) share it; either
     // engine would derive the identical plan on its own.
     std::optional<SgraphPlan> sgraph_plan;
     if (config.hybrid.sgraph) {
+      const obs::SpanTracer::Span plan_span =
+          obs::open_span(telemetry, "plan.sgraph");
       sgraph_plan = build_sgraph_plan(netlist, faults);
       result.sgraph_sccs = sgraph_plan->nontrivial_sccs;
       if (telemetry != nullptr) {

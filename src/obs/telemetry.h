@@ -65,6 +65,14 @@ struct Telemetry {
   std::atomic<Logger*> log_{nullptr};
 };
 
+/// Opens span `name` on the context's tracer. With telemetry ==
+/// nullptr the span is inert and records nothing.
+[[nodiscard]] inline SpanTracer::Span open_span(Telemetry* telemetry,
+                                                std::string name) {
+  return telemetry != nullptr ? telemetry->tracer.span(std::move(name))
+                              : SpanTracer::Span{};
+}
+
 /// The one structured-logging entry point of the instrumented code:
 /// formats one JSONL record, feeds it to the (always-on) flight
 /// recorder, and appends it to the attached logger if the level

@@ -33,7 +33,7 @@ Sim3Backend default_sim3_backend() {
     if (env != nullptr) {
       if (const auto b = parse_sim3_backend(env)) return *b;
     }
-    return Sim3Backend::Event;
+    return Sim3Backend::BitPar;
   }();
   return cached;
 }

@@ -28,7 +28,7 @@ using StateDiff3 = std::vector<std::pair<std::uint32_t, Val3>>;
 /// deliberately excluded from store fingerprints (a run checkpointed
 /// under one backend resumes under the other).
 enum class Sim3Backend : std::uint8_t {
-  Event = 0,   ///< serial event-driven single-fault propagation (reference)
+  Event = 0,   ///< serial event-driven single-fault propagation (oracle)
   BitPar = 1,  ///< bit-parallel levelized PPSFP (64 faults per word)
 };
 
@@ -38,10 +38,11 @@ enum class Sim3Backend : std::uint8_t {
 [[nodiscard]] std::optional<Sim3Backend> parse_sim3_backend(
     std::string_view token);
 
-/// Process-wide default backend: Sim3Backend::Event unless the
+/// Process-wide default backend: Sim3Backend::BitPar unless the
 /// environment variable MOTSIM_SIM3_BACKEND holds a valid backend
 /// token (the CI matrix uses this to run the whole test suite under
-/// both engines). Read once and cached.
+/// both engines; the event engine stays as the oracle). Read once and
+/// cached.
 [[nodiscard]] Sim3Backend default_sim3_backend();
 
 /// Per-fault outcome of a three-valued fault simulation run.

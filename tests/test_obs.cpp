@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "bench_data/registry.h"
+#include "core/hybrid_sim.h"
 #include "core/options.h"
 #include "core/pipeline.h"
 #include "core/progress.h"
@@ -652,6 +653,55 @@ TEST(PipelineTelemetry, TraceContainsStagesWindowsAndShards) {
   EXPECT_NE(json.find("\"symbolic\""), std::string::npos);
   EXPECT_NE(json.find("\"fallback_window\""), std::string::npos);
   EXPECT_NE(json.find("\"shard\""), std::string::npos);
+}
+
+/// Spans named `name`, in recording order.
+std::vector<obs::TraceEvent> spans_named(const obs::Telemetry& telemetry,
+                                         const std::string& name) {
+  std::vector<obs::TraceEvent> out;
+  for (const obs::TraceEvent& e : telemetry.tracer.events()) {
+    if (e.name == name && !e.instant) out.push_back(e);
+  }
+  return out;
+}
+
+TEST(PipelineTelemetry, PlanSpansNestInsideTheSymbolicStage) {
+  // Serial and sharded: the pipeline builds both plans itself (the
+  // trimming plan from the analysis stage's implication engine), the
+  // parallel driver adds its shard order under plan.trim.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    const PipelineRun w(16);
+    obs::Telemetry telemetry;
+    SimOptions opts;
+    opts.analysis = true;
+    opts.threads = threads;
+    opts.telemetry = &telemetry;
+    (void)run_pipeline(w.nl, w.faults.faults(), w.seq, opts);
+
+    const std::vector<obs::TraceEvent> stage =
+        spans_named(telemetry, "stage.symbolic");
+    ASSERT_EQ(stage.size(), 1u);
+    const double begin = stage[0].start_seconds;
+    const double end = begin + stage[0].duration_seconds;
+    for (const char* name : {"plan.trim", "plan.sgraph"}) {
+      const std::vector<obs::TraceEvent> plans = spans_named(telemetry, name);
+      ASSERT_FALSE(plans.empty()) << name << " threads=" << threads;
+      for (const obs::TraceEvent& p : plans) {
+        EXPECT_GE(p.start_seconds, begin) << name;
+        EXPECT_LE(p.start_seconds + p.duration_seconds, end) << name;
+      }
+    }
+  }
+}
+
+TEST(PipelineTelemetry, HybridEngineNamesThePlansItBuilds) {
+  const PipelineRun w(8);
+  obs::Telemetry telemetry;
+  HybridFaultSim sim(w.nl, w.faults.faults(), HybridConfig{});
+  sim.set_telemetry(&telemetry);
+  (void)sim.run(w.seq);
+  EXPECT_EQ(spans_named(telemetry, "plan.trim").size(), 1u);
+  EXPECT_EQ(spans_named(telemetry, "plan.sgraph").size(), 1u);
 }
 
 // ---------------------------------------------------------------------------

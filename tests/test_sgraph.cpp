@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/cone.h"
 #include "analysis/diagnostics.h"
 #include "analysis/sgraph.h"
 #include "analysis/testability.h"
@@ -185,6 +186,181 @@ TEST(SgraphStructure, S27IsEntirelyCyclic) {
   ASSERT_EQ(plan.horizon.size(), c.size());
   EXPECT_EQ(plan.finite_horizon_count(), 0u);
   EXPECT_EQ(plan.nontrivial_sccs, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Plan horizons: the condensation DP against the per-fault walk
+// ---------------------------------------------------------------------------
+
+/// The per-fault forward walk the plan builder used before the SCC
+/// condensation, kept as the oracle: max output horizon over the
+/// outputs a fault's site reaches, crossing flip-flops. Memoized by
+/// site node (stem and branch faults of one node share the walk).
+std::vector<std::uint32_t> walk_horizons(const Netlist& nl,
+                                         const SgraphInfo& info,
+                                         const std::vector<Fault>& faults) {
+  std::vector<std::uint32_t> by_node(nl.node_count(), kInfDepth);
+  std::vector<std::uint8_t> done(nl.node_count(), 0);
+  ConeWalker walker(nl);
+  std::vector<std::uint32_t> out;
+  for (const Fault& f : faults) {
+    const NodeIndex site = f.site.node;
+    if (site >= nl.node_count()) {
+      out.push_back(kInfDepth);
+      continue;
+    }
+    if (!done[site]) {
+      walker.run(ConeDir::Forward, {site}, /*cross_dffs=*/true);
+      std::uint32_t h = 0;
+      for (std::size_t j = 0; j < nl.output_count(); ++j) {
+        if (walker.reached(nl.outputs()[j])) {
+          h = std::max(h, info.output_horizon[j]);
+        }
+      }
+      by_node[site] = h;
+      done[site] = 1;
+    }
+    out.push_back(by_node[site]);
+  }
+  return out;
+}
+
+/// One stem stuck-at-0 fault per node: every site the DP can be asked
+/// about, including dangling and flip-flop nodes.
+std::vector<Fault> one_fault_per_node(const Netlist& nl) {
+  std::vector<Fault> faults;
+  for (NodeIndex n = 0; n < nl.node_count(); ++n) {
+    faults.push_back(Fault{FaultSite{n, kStemPin}, false});
+  }
+  return faults;
+}
+
+void expect_plan_matches_walk(const Netlist& nl) {
+  const SgraphInfo info = build_sgraph(nl);
+  const CollapsedFaultList c(nl);
+  for (const std::vector<Fault>& faults :
+       {c.faults(), one_fault_per_node(nl)}) {
+    const SgraphPlan plan = build_sgraph_plan(nl, info, faults);
+    const std::vector<std::uint32_t> oracle = walk_horizons(nl, info, faults);
+    ASSERT_EQ(plan.horizon.size(), oracle.size()) << nl.name();
+    for (std::size_t i = 0; i < oracle.size(); ++i) {
+      ASSERT_EQ(plan.horizon[i], oracle[i])
+          << nl.name() << " fault " << fault_name(nl, faults[i]);
+    }
+  }
+}
+
+TEST(SgraphPlanDp, MatchesWalkOnRosterUpToS9234) {
+  for (const BenchmarkInfo& b : benchmark_roster()) {
+    expect_plan_matches_walk(make_benchmark(b));
+    if (b.spec.name == "s9234.1") break;
+  }
+}
+
+TEST(SgraphPlanDp, MatchesWalkOnSynthCorpus) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    expect_plan_matches_walk(generate_circuit(
+        SynthSpec{"rl", 6, 3, 10, 120, CircuitStyle::RandomLogic, seed}));
+    expect_plan_matches_walk(generate_circuit(
+        SynthSpec{"ap", 5, 3, 8, 80, CircuitStyle::AcyclicPipeline, seed}));
+  }
+}
+
+std::uint32_t horizon_at(const Netlist& nl, NodeIndex site) {
+  return build_sgraph_plan(nl, {Fault{FaultSite{site, kStemPin}, false}})
+      .horizon[0];
+}
+
+TEST(SgraphPlanDp, SelfLoopFeedingAnOutputIsUnbounded) {
+  // q self-loops and feeds o1; p is input-only (depth 1) and feeds o2.
+  Netlist nl("selfloop_out");
+  const NodeIndex a = nl.add_input("a");
+  const NodeIndex b = nl.add_input("b");
+  const NodeIndex q = nl.add_dff(kNoNode, "q");
+  nl.set_fanins(q, {nl.add_gate(GateType::Nor, {a, q}, "d")});
+  const NodeIndex o1 = nl.add_gate(GateType::And, {q, b}, "o1");
+  const NodeIndex p = nl.add_dff(b, "p");
+  const NodeIndex o2 = nl.add_gate(GateType::Not, {p}, "o2");
+  nl.mark_output(o1);
+  nl.mark_output(o2);
+  nl.finalize();
+
+  EXPECT_EQ(horizon_at(nl, a), kInfDepth);
+  EXPECT_EQ(horizon_at(nl, q), kInfDepth);
+  EXPECT_EQ(horizon_at(nl, b), kInfDepth);  // reaches o1 as well as o2
+  EXPECT_EQ(horizon_at(nl, p), 1u);
+  EXPECT_EQ(horizon_at(nl, o2), 1u);
+  expect_plan_matches_walk(nl);
+}
+
+TEST(SgraphPlanDp, OutputNetThatIsAFlipFlop) {
+  Netlist nl("dff_out");
+  const NodeIndex a = nl.add_input("a");
+  const NodeIndex b = nl.add_input("b");
+  const NodeIndex x = nl.add_gate(GateType::And, {a, b}, "x");
+  const NodeIndex q = nl.add_dff(x, "q");
+  nl.mark_output(q);
+  nl.finalize();
+
+  EXPECT_EQ(build_sgraph(nl).output_horizon[0], 1u);
+  EXPECT_EQ(horizon_at(nl, a), 1u);
+  EXPECT_EQ(horizon_at(nl, x), 1u);
+  EXPECT_EQ(horizon_at(nl, q), 1u);
+  expect_plan_matches_walk(nl);
+}
+
+TEST(SgraphPlanDp, OneNetAtTwoOutputPositions) {
+  Netlist nl("twice");
+  const NodeIndex a = nl.add_input("a");
+  const NodeIndex q1 = nl.add_dff(a, "q1");
+  const NodeIndex q2 = nl.add_dff(q1, "q2");
+  const NodeIndex o = nl.add_gate(GateType::Or, {q2, a}, "o");
+  nl.mark_output(o);
+  nl.mark_output(q1);
+  nl.mark_output(o);
+  nl.finalize();
+
+  const SgraphInfo info = build_sgraph(nl);
+  ASSERT_EQ(info.output_horizon.size(), 3u);
+  EXPECT_EQ(info.output_horizon[0], 2u);
+  EXPECT_EQ(info.output_horizon[1], 1u);
+  EXPECT_EQ(info.output_horizon[2], 2u);
+  EXPECT_EQ(horizon_at(nl, a), 2u);
+  EXPECT_EQ(horizon_at(nl, q1), 2u);
+  EXPECT_EQ(horizon_at(nl, o), 2u);
+  expect_plan_matches_walk(nl);
+}
+
+TEST(SgraphPlanDp, SiteWithNoPathToAnOutputHasHorizonZero) {
+  // z dangles; r is a flip-flop whose only reader is another dangling
+  // gate — neither reaches the output.
+  Netlist nl("dangling");
+  const NodeIndex a = nl.add_input("a");
+  const NodeIndex b = nl.add_input("b");
+  const NodeIndex q = nl.add_dff(kNoNode, "q");
+  nl.set_fanins(q, {nl.add_gate(GateType::Xor, {a, q}, "d")});
+  nl.mark_output(nl.add_gate(GateType::Or, {q, b}, "o"));
+  const NodeIndex z = nl.add_gate(GateType::And, {a, b}, "z");
+  const NodeIndex r = nl.add_dff(z, "r");
+  const NodeIndex y = nl.add_gate(GateType::Not, {r}, "y");
+  nl.finalize();
+
+  EXPECT_EQ(horizon_at(nl, z), 0u);
+  EXPECT_EQ(horizon_at(nl, r), 0u);
+  EXPECT_EQ(horizon_at(nl, y), 0u);
+  EXPECT_EQ(horizon_at(nl, a), kInfDepth);
+  expect_plan_matches_walk(nl);
+}
+
+TEST(SgraphPlanDp, OutOfRangeSiteIsUnbounded) {
+  const Netlist nl = make_benchmark("s1423");
+  const auto n = static_cast<NodeIndex>(nl.node_count());
+  const SgraphPlan plan = build_sgraph_plan(
+      nl, {Fault{FaultSite{n, kStemPin}, false},
+           Fault{FaultSite{n + 7, 0}, true},
+           Fault{FaultSite{kNoNode, kStemPin}, false}});
+  ASSERT_EQ(plan.horizon.size(), 3u);
+  for (const std::uint32_t h : plan.horizon) EXPECT_EQ(h, kInfDepth);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@
 
 #include <algorithm>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/cone.h"
 #include "analysis/implication.h"
 #include "analysis/trim.h"
 #include "bench_data/registry.h"
+#include "bench_data/synth_gen.h"
 #include "core/hybrid_sim.h"
 #include "core/parallel_sym_sim.h"
 #include "core/sym_fault_sim.h"
@@ -193,6 +195,111 @@ TEST(ConeClustering, ShardMatesShareConeSignatures) {
         << "signature run split at position " << i;
     seen.push_back(sigs[i]);
   }
+}
+
+/// Condensation signatures equal the per-fault fault_cone walk's on
+/// every fault (the walk is kept as the oracle, memoized by site: a
+/// cone depends on the site node alone), and the shard order equals
+/// the one the walk signatures give.
+void expect_signatures_match_walk(const Netlist& nl) {
+  const CollapsedFaultList c(nl);
+  const std::vector<Fault>& faults = c.faults();
+  std::vector<NodeIndex> origins;
+  for (const Fault& f : faults) origins.push_back(f.site.node);
+  const std::vector<std::uint64_t> sigs =
+      ForwardCondensation(nl).observation_signatures(origins);
+  ASSERT_EQ(sigs.size(), faults.size());
+
+  ConeAnalysis cones(nl);
+  std::unordered_map<NodeIndex, std::uint64_t> walk_sig;
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    auto [it, inserted] = walk_sig.try_emplace(faults[i].site.node);
+    if (inserted) it->second = cones.fault_cone(faults[i]).signature;
+    ASSERT_EQ(sigs[i], it->second)
+        << nl.name() << " fault " << fault_name(nl, faults[i]);
+  }
+
+  // Oracle shard order: first-occurrence signature groups, members in
+  // their relative order.
+  std::vector<std::size_t> live;
+  for (std::size_t i = 0; i < faults.size(); i += 3) live.push_back(i);
+  std::vector<std::uint64_t> signature_order;
+  std::unordered_map<std::uint64_t, std::vector<std::size_t>> members;
+  for (const std::size_t g : live) {
+    const std::uint64_t sig = walk_sig.at(faults[g].site.node);
+    auto [it, inserted] = members.try_emplace(sig);
+    if (inserted) signature_order.push_back(sig);
+    it->second.push_back(g);
+  }
+  std::vector<std::size_t> expected;
+  for (const std::uint64_t sig : signature_order) {
+    expected.insert(expected.end(), members[sig].begin(), members[sig].end());
+  }
+  EXPECT_EQ(cluster_live_order(nl, faults, live), expected) << nl.name();
+}
+
+TEST(ConeClustering, SignaturesMatchWalkOnRosterUpToS9234) {
+  for (const BenchmarkInfo& b : benchmark_roster()) {
+    expect_signatures_match_walk(make_benchmark(b));
+    if (b.spec.name == "s9234.1") break;
+  }
+}
+
+TEST(ConeClustering, SignaturesMatchWalkOnSynthCorpus) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    expect_signatures_match_walk(generate_circuit(
+        SynthSpec{"rl", 6, 3, 10, 120, CircuitStyle::RandomLogic, seed}));
+    expect_signatures_match_walk(generate_circuit(
+        SynthSpec{"ap", 5, 3, 8, 80, CircuitStyle::AcyclicPipeline, seed}));
+  }
+}
+
+TEST(ConeClustering, SignatureEdgeCases) {
+  // One net at two output positions, an output that is a flip-flop, a
+  // flip-flop self-loop and a dangling gate, all in one circuit.
+  Netlist nl("edges");
+  const NodeIndex a = nl.add_input("a");
+  const NodeIndex b = nl.add_input("b");
+  const NodeIndex q = nl.add_dff(kNoNode, "q");
+  nl.set_fanins(q, {nl.add_gate(GateType::Nor, {a, q}, "d")});
+  const NodeIndex o = nl.add_gate(GateType::And, {q, b}, "o");
+  const NodeIndex p = nl.add_dff(b, "p");
+  const NodeIndex z = nl.add_gate(GateType::Or, {a, b}, "z");
+  nl.mark_output(o);
+  nl.mark_output(p);
+  nl.mark_output(o);
+  nl.finalize();
+
+  ConeAnalysis cones(nl);
+  std::vector<NodeIndex> origins;
+  for (NodeIndex n = 0; n < nl.node_count(); ++n) origins.push_back(n);
+  origins.push_back(kNoNode);
+  origins.push_back(static_cast<NodeIndex>(nl.node_count()));
+  const std::vector<std::uint64_t> sigs =
+      ForwardCondensation(nl).observation_signatures(origins);
+  for (NodeIndex n = 0; n < nl.node_count(); ++n) {
+    EXPECT_EQ(sigs[n],
+              cones.fault_cone(Fault{FaultSite{n, kStemPin}, false}).signature)
+        << nl.gate(n).name;
+  }
+  // kNoNode and out-of-range origins reach nothing: the empty set's
+  // signature, which the dangling gate (no output, no flip-flop) shares.
+  EXPECT_EQ(sigs[nl.node_count()], sigs[z]);
+  EXPECT_EQ(sigs[nl.node_count() + 1], sigs[z]);
+  EXPECT_NE(sigs[z], sigs[p]);
+}
+
+TEST(ConeClustering, NoObservationPointsGivesTheEmptySignature) {
+  Netlist nl("blind");
+  const NodeIndex a = nl.add_input("a");
+  const NodeIndex g = nl.add_gate(GateType::Not, {a}, "g");
+  nl.finalize();
+  const std::vector<std::uint64_t> sigs =
+      ForwardCondensation(nl).observation_signatures({a, g});
+  ConeAnalysis cones(nl);
+  EXPECT_EQ(sigs[0], cones.fault_cone(Fault{FaultSite{a, kStemPin}, false})
+                         .signature);
+  EXPECT_EQ(sigs[1], sigs[0]);
 }
 
 // ---------------------------------------------------------------------------

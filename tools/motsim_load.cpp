@@ -9,8 +9,8 @@
 // Each connection runs one sender thread (sleeps until the next
 // scheduled instant, writes the frame, records the send time by
 // request id) and one reader thread (matches responses by id, records
-// latency). The summary reuses obs::Histogram::quantile for
-// p50/p90/p99 and is written to BENCH_serve.json.
+// latency). The summary computes exact nearest-rank p50/p90/p99 from
+// every latency sample and is written to BENCH_serve.json.
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -34,7 +34,6 @@
 #include <utility>
 
 #include "obs/log.h"
-#include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "serve/framing.h"
 #include "serve/protocol.h"
@@ -550,22 +549,23 @@ int main(int argc, char** argv) {
                                                      stats.completed),
                           motsim::obs::LogField::f64("wall_s", wall)});
 
-  // Percentiles via the shared histogram-quantile machinery (the same
-  // interpolation the serve telemetry digest uses).
-  static const std::vector<double> kBounds = {
-      1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 0.01, 0.03,
-      0.1,  0.3,  1.0,  3.0,  10.0, 30.0, 100.0};
-  motsim::obs::Histogram hist(kBounds);
-  double max_latency = 0.0;
+  // Exact nearest-rank percentiles over every sample: the smallest
+  // latency with at least q of the samples at or below it, so
+  // p50 <= p90 <= p99 <= max always holds.
+  std::vector<double>& sorted = stats.latencies;  // every thread joined
+  std::sort(sorted.begin(), sorted.end());
+  auto nearest_rank = [&sorted](double q) {
+    if (sorted.empty()) return 0.0;
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(sorted.size())));
+    return sorted[std::clamp<std::size_t>(rank, 1, sorted.size()) - 1];
+  };
+  const double p50 = nearest_rank(0.50);
+  const double p90 = nearest_rank(0.90);
+  const double p99 = nearest_rank(0.99);
+  const double max_latency = sorted.empty() ? 0.0 : sorted.back();
   double sum_latency = 0.0;
-  for (const double l : stats.latencies) {
-    hist.observe(l);
-    sum_latency += l;
-    if (l > max_latency) max_latency = l;
-  }
-  const double p50 = hist.quantile(0.50);
-  const double p90 = hist.quantile(0.90);
-  const double p99 = hist.quantile(0.99);
+  for (const double l : sorted) sum_latency += l;
   const double mean = stats.latencies.empty()
                           ? 0.0
                           : sum_latency /
