@@ -75,6 +75,13 @@ struct BddStats {
   std::size_t peak_live_nodes = 0;
   /// Wall seconds spent inside reorder_sift / set_variable_order.
   double reorder_seconds = 0;
+  /// Wall seconds spent inside gc(), including the collections that
+  /// reordering runs.
+  double gc_seconds = 0;
+  /// High-water mark of the node table's slot count (terminals
+  /// included). gc() trims trailing dead slots, so this tracks the
+  /// live-node peak instead of growing with churn.
+  std::size_t peak_node_slots = 2;
 };
 
 /// RAII handle to a BDD function.
@@ -315,6 +322,20 @@ class BddManager {
     return buckets_.size();
   }
 
+  /// Current node-table slot count, terminals included: live nodes
+  /// plus the free slots below the highest live one.
+  [[nodiscard]] std::size_t node_slot_count() const noexcept {
+    return nodes_.size();
+  }
+
+  /// Checks the node-table invariants: every unique-table chain entry
+  /// is a used slot that hashes to its bucket, every used slot sits in
+  /// exactly one chain, no chain holds two equal nodes, the free list
+  /// holds exactly the unused slots, and the used-slot count equals
+  /// live_node_count(). Returns an empty string when they hold, else a
+  /// description of the first violation. Linear time; for tests.
+  [[nodiscard]] std::string check_invariants() const;
+
   /// Graphviz dump of one function, for debugging and docs.
   [[nodiscard]] std::string to_dot(const Bdd& f, const std::string& name);
 
@@ -330,7 +351,9 @@ class BddManager {
 
   /// Mark-and-sweep collection from all registered handles. Safe to
   /// call at any quiescent point (never called implicitly during an
-  /// operation's recursion).
+  /// operation's recursion). Dead slots are reused lowest id first;
+  /// trailing dead slots are released, so the sweep is bounded by the
+  /// highest live slot.
   void gc();
 
   /// Sets/clears the hard node cap (see BddConfig::hard_node_limit).
@@ -385,10 +408,17 @@ class BddManager {
     Forall,
   };
 
+  /// A computed-cache entry is valid only while its epoch equals
+  /// cache_epoch_; gc() bumps the epoch instead of clearing the table.
   struct CacheEntry {
     NodeId f = 0, g = 0, h = 0, result = 0;
+    std::uint32_t epoch = 0;
     Op op = Op::Invalid;
   };
+
+  // used_ flags.
+  static constexpr std::uint8_t kUsed = 1;    ///< slot holds a node
+  static constexpr std::uint8_t kMarked = 2;  ///< reached by gc()'s mark
 
   /// Level of a node's root variable; terminals sink below everything.
   [[nodiscard]] VarIndex level_of(NodeId n) const {
@@ -429,11 +459,11 @@ class BddManager {
   void unregister_handle(Bdd* h) noexcept;
 
   void maybe_auto_gc();
-  void mark_reachable(NodeId n, std::vector<std::uint8_t>& mark) const;
+  void mark_reachable(NodeId root);
 
   // Node storage.
   std::vector<Node> nodes_;
-  std::vector<std::uint8_t> used_;  ///< slot-occupancy bitmap
+  std::vector<std::uint8_t> used_;  ///< per-slot kUsed / kMarked flags
   std::vector<NodeId> buckets_;     ///< unique table (power-of-two size)
   NodeId free_head_ = 0;            ///< head of free-slot list (0 = none)
   std::size_t live_count_ = 0;
@@ -444,6 +474,9 @@ class BddManager {
   // Computed cache.
   std::vector<CacheEntry> cache_;
   std::size_t cache_mask_ = 0;
+  std::uint32_t cache_epoch_ = 1;  ///< 0 marks never-written entries
+
+  std::vector<NodeId> gc_stack_;  ///< mark DFS stack, reused across gc()
 
   // Handle registry.
   Bdd* handles_head_ = nullptr;

@@ -575,6 +575,9 @@ HybridResult HybridFaultSim::run(
     m.counter("bdd.gc_runs").add(bs.gc_runs);
     m.counter("bdd.gc_reclaimed_nodes").add(bs.gc_reclaimed_nodes);
     m.gauge("bdd.reorder_seconds").add(bs.reorder_seconds);
+    m.gauge("bdd.gc_seconds").add(bs.gc_seconds);
+    m.gauge("bdd.node_slots")
+        .update_max(static_cast<double>(bs.peak_node_slots));
     m.gauge("bdd.peak_live_nodes")
         .update_max(static_cast<double>(bs.peak_live_nodes));
     m.gauge("bdd.unique_table_buckets")

@@ -1,5 +1,6 @@
 #include "core/sym_fault_sim.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace motsim {
@@ -88,8 +89,21 @@ SymFaultPropagator::SymFaultPropagator(const Netlist& netlist,
       x2y_(vars.x_to_y_mapping()),
       scratch_val_(netlist.node_count()),
       scratch_stamp_(netlist.node_count(), 0),
-      queue_(netlist) {
+      queue_(netlist),
+      latch_begin_(netlist.node_count() + 1, 0) {
   mgr.ensure_vars(vars.var_count());
+  const auto& dffs = netlist.dffs();
+  for (const NodeIndex dff : dffs) {
+    ++latch_begin_[netlist.gate(dff).fanins[0] + 1];
+  }
+  for (std::size_t n = 0; n < netlist.node_count(); ++n) {
+    latch_begin_[n + 1] += latch_begin_[n];
+  }
+  latch_pos_.resize(dffs.size());
+  std::vector<std::uint32_t> fill(latch_begin_.begin(), latch_begin_.end() - 1);
+  for (std::uint32_t pos = 0; pos < dffs.size(); ++pos) {
+    latch_pos_[fill[netlist.gate(dffs[pos]).fanins[0]]++] = pos;
+  }
 }
 
 const Bdd& SymFaultPropagator::fval(NodeIndex node,
@@ -255,15 +269,29 @@ void SymFaultPropagator::latch_diffs(
     const Fault& fault, const Bdd& sv, SymFrameContext& ctx,
     std::vector<std::pair<std::uint32_t, Bdd>>& out) {
   const Netlist& nl = *netlist_;
-  const std::vector<Bdd>& good = ctx.good_values();
   const std::vector<Bdd>& good_next = ctx.good_next_state();
+  // A branch fault on a flip-flop's D pin latches the stuck value
+  // there, whatever its D net carries.
+  const bool pin_fault =
+      !fault.site.is_stem() && nl.type(fault.site.node) == GateType::Dff;
+  const std::uint32_t pinned =
+      pin_fault ? nl.dff_position(fault.site.node) : kNoNode;
+  latch_hits_.clear();
+  for (const NodeIndex n : changed_) {
+    for (std::uint32_t i = latch_begin_[n]; i < latch_begin_[n + 1]; ++i) {
+      const std::uint32_t pos = latch_pos_[i];
+      if (pos != pinned && scratch_val_[n] != good_next[pos]) {
+        latch_hits_.emplace_back(pos, n);
+      }
+    }
+  }
+  if (pin_fault && sv != good_next[pinned]) {
+    latch_hits_.emplace_back(pinned, kNoNode);
+  }
+  std::sort(latch_hits_.begin(), latch_hits_.end());
   out.clear();
-  for (std::uint32_t pos = 0; pos < nl.dffs().size(); ++pos) {
-    const NodeIndex dff = nl.dffs()[pos];
-    const NodeIndex d = nl.gate(dff).fanins[0];
-    Bdd fv = fval(d, good);
-    if (!fault.site.is_stem() && fault.site.node == dff) fv = sv;
-    if (fv != good_next[pos]) out.emplace_back(pos, fv);
+  for (const auto& [pos, n] : latch_hits_) {
+    out.emplace_back(pos, n == kNoNode ? sv : scratch_val_[n]);
   }
 }
 

@@ -45,7 +45,11 @@ struct SymFaultState {
 };
 
 /// Per-frame context shared by all faults: the fault-free frame
-/// computed by SymTrueValueSim plus lazily-built MOT caches.
+/// computed by SymTrueValueSim plus lazily-built MOT caches. The
+/// next state must be the one latched from the same frame's values
+/// (`good_next_state[pos] == good_values[D of dffs()[pos]]`), which is
+/// what SymTrueValueSim::step produces: the propagator latches only
+/// flip-flops whose D net changed.
 class SymFrameContext {
  public:
   SymFrameContext(const std::vector<bdd::Bdd>& good_values,
@@ -204,6 +208,8 @@ class SymFaultPropagator {
   /// Returns true when `detect` reached the zero function.
   bool update_rmot(bdd::Bdd& detect, const std::vector<bdd::Bdd>& good);
   bool update_mot(bdd::Bdd& detect, SymFrameContext& ctx);
+  /// Next-state divergence, in flip-flop position order. Visits only
+  /// the changed nets: an unchanged D net latches the fault-free value.
   void latch_diffs(const Fault& fault, const bdd::Bdd& sv,
                    SymFrameContext& ctx,
                    std::vector<std::pair<std::uint32_t, bdd::Bdd>>& out);
@@ -220,6 +226,12 @@ class SymFaultPropagator {
   std::uint32_t stamp_ = 0;
   EventQueue queue_;
   std::vector<NodeIndex> changed_;
+  // CSR map from a net to the flip-flop positions whose D input it is:
+  // latch_pos_[latch_begin_[n] .. latch_begin_[n + 1]).
+  std::vector<std::uint32_t> latch_begin_;
+  std::vector<std::uint32_t> latch_pos_;
+  /// latch_diffs scratch: (position, source net; kNoNode = stuck value).
+  std::vector<std::pair<std::uint32_t, NodeIndex>> latch_hits_;
   bool trim_ = false;
   TrimCounters trim_counters_;
   SgraphCounters sgraph_counters_;

@@ -152,5 +152,177 @@ TEST(BddGc, PeakLiveNodesIsMonotone) {
   EXPECT_GE(peak, mgr.live_node_count());
 }
 
+// ---- node-table invariants ------------------------------------------------
+
+/// One random operation over `pool`, result appended to the pool.
+void random_op(BddManager& mgr, std::vector<Bdd>& pool, Rng& rng,
+               unsigned vars) {
+  auto pick = [&]() -> const Bdd& { return pool[rng.below(pool.size())]; };
+  const Bdd& f = pick();
+  const Bdd& g = pick();
+  switch (rng.below(6)) {
+    case 0:
+      pool.push_back(f & g);
+      break;
+    case 1:
+      pool.push_back(f | g);
+      break;
+    case 2:
+      pool.push_back(f ^ g);
+      break;
+    case 3:
+      pool.push_back(mgr.ite(f, g, pick()));
+      break;
+    case 4:
+      pool.push_back(!f);
+      break;
+    default:
+      pool.push_back(
+          mgr.restrict_var(f, static_cast<VarIndex>(rng.below(vars)),
+                           rng.flip()));
+      break;
+  }
+}
+
+TEST(BddGc, InvariantsHoldAfterEveryRehashAndGc) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    BddConfig cfg;
+    cfg.initial_capacity = 16;  // many growth rehashes
+    cfg.auto_gc_floor = 512;    // and automatic collections in between
+    BddManager mgr(cfg);
+    Rng rng(seed);
+    const unsigned vars = 10;
+    std::vector<Bdd> pool;
+    for (unsigned v = 0; v < vars; ++v) pool.push_back(mgr.var(v));
+    ASSERT_EQ(mgr.check_invariants(), "");
+
+    std::size_t rehashes = 0;
+    for (int round = 0; round < 30; ++round) {
+      for (int i = 0; i < 60; ++i) {
+        const std::size_t buckets = mgr.unique_bucket_count();
+        const std::uint64_t gcs = mgr.stats().gc_runs;
+        random_op(mgr, pool, rng, vars);
+        if (mgr.unique_bucket_count() != buckets ||
+            mgr.stats().gc_runs != gcs) {
+          rehashes += mgr.unique_bucket_count() != buckets ? 1 : 0;
+          ASSERT_EQ(mgr.check_invariants(), "")
+              << "seed " << seed << " round " << round << " op " << i;
+        }
+      }
+      // Drop a random half of the non-projection functions, collect.
+      std::vector<Bdd> keep(pool.begin(), pool.begin() + vars);
+      for (std::size_t j = vars; j < pool.size(); ++j) {
+        if (rng.flip()) keep.push_back(pool[j]);
+      }
+      pool = std::move(keep);
+      mgr.gc();
+      ASSERT_EQ(mgr.check_invariants(), "")
+          << "seed " << seed << " after gc of round " << round;
+      if (round % 10 == 9) {
+        (void)mgr.reorder_sift();
+        ASSERT_EQ(mgr.check_invariants(), "")
+            << "seed " << seed << " after sifting in round " << round;
+      }
+    }
+    EXPECT_GE(rehashes, 4u) << "seed " << seed << ": too few rehashes";
+  }
+}
+
+TEST(BddGc, EqualFunctionsShareOneNodeAcrossRehashes) {
+  // A misfiled slot would hide older nodes of its bucket and let
+  // make_node create duplicates: rebuilding a function would then
+  // yield a different id. Canonicity must survive every growth step.
+  BddConfig cfg;
+  cfg.initial_capacity = 16;
+  BddManager mgr(cfg);
+  std::vector<Bdd> parts;
+  for (unsigned v = 0; v + 1 < 14; ++v) {
+    parts.push_back(mgr.var(v) & mgr.var(v + 1));
+  }
+  Bdd f = mgr.zero();
+  for (const Bdd& p : parts) f |= p;
+  Bdd g = mgr.zero();
+  for (unsigned v = 0; v + 1 < 14; ++v) g |= mgr.var(v) & mgr.var(v + 1);
+  EXPECT_EQ(f, g);
+  EXPECT_EQ(mgr.check_invariants(), "");
+}
+
+TEST(BddGc, SlotCountStaysWithinPeakLiveUnderChurn) {
+  BddManager mgr;
+  Rng rng(11);
+  const unsigned vars = 12;
+  std::vector<Bdd> base;
+  for (unsigned v = 0; v < vars; ++v) base.push_back(mgr.var(v));
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    {
+      // Garbage of varying size: some cycles build far more than others.
+      std::vector<Bdd> pool = base;
+      const int ops = 20 + static_cast<int>(rng.below(400));
+      for (int i = 0; i < ops; ++i) random_op(mgr, pool, rng, vars);
+      if (cycle % 3 == 0) base.push_back(pool.back());  // some survive
+    }
+    mgr.gc();
+    // Slots only grow when no free slot is left, i.e. when every slot
+    // is live: the table never exceeds the live peak plus terminals.
+    ASSERT_LE(mgr.node_slot_count(), mgr.stats().peak_live_nodes + 2)
+        << "cycle " << cycle;
+    ASSERT_EQ(mgr.check_invariants(), "") << "cycle " << cycle;
+  }
+  EXPECT_LE(mgr.stats().peak_node_slots, mgr.stats().peak_live_nodes + 2);
+  EXPECT_GE(mgr.stats().peak_node_slots, mgr.node_slot_count());
+}
+
+TEST(BddGc, TrailingDeadSlotsAreTrimmed) {
+  BddManager mgr;
+  const Bdd a = mgr.var(0), b = mgr.var(1), c = mgr.var(2);
+  {
+    Bdd parity = mgr.zero();
+    for (unsigned v = 0; v < 16; ++v) parity ^= mgr.var(v);
+    EXPECT_GT(mgr.node_slot_count(), 30u);
+  }
+  mgr.gc();
+  // Only the terminals and the three projections below the garbage.
+  EXPECT_EQ(mgr.node_slot_count(), 5u);
+  EXPECT_EQ(mgr.live_node_count(), 3u);
+  EXPECT_EQ(mgr.check_invariants(), "");
+}
+
+TEST(BddGc, FreeSlotsAreReusedLowestIdFirst) {
+  BddManager mgr;
+  const Bdd a = mgr.var(0);    // slot 2
+  Bdd b = mgr.var(1);          // slot 3
+  Bdd c = mgr.var(2);          // slot 4
+  const Bdd d = mgr.var(3);    // slot 5
+  ASSERT_EQ(a.id(), 2u);
+  ASSERT_EQ(d.id(), 5u);
+  c = Bdd();
+  b = Bdd();
+  mgr.gc();
+  EXPECT_EQ(mgr.node_slot_count(), 6u);
+  EXPECT_EQ(mgr.var(7).id(), 3u);
+  EXPECT_EQ(mgr.var(8).id(), 4u);
+  EXPECT_EQ(mgr.var(9).id(), 6u);  // free list empty: the table grows
+  EXPECT_EQ(mgr.check_invariants(), "");
+}
+
+TEST(BddGc, CacheEntriesDieWithTheirEpoch) {
+  // A cached result whose node was collected must not be returned:
+  // the slot may hold an unrelated node by then.
+  BddManager mgr;
+  const Bdd a = mgr.var(0), b = mgr.var(1), c = mgr.var(2);
+  NodeId old_id;
+  {
+    const Bdd t = a & b;
+    old_id = t.id();
+  }
+  mgr.gc();
+  const Bdd other = b | c;  // reuses the freed slot
+  EXPECT_EQ(other.id(), old_id);
+  const Bdd again = a & b;  // must not hit the stale (a & b) entry
+  EXPECT_NE(again, other);
+  EXPECT_TRUE(again.eval({true, true, false}));
+  EXPECT_FALSE(again.eval({true, false, true}));
+}
+
 }  // namespace
 }  // namespace motsim::bdd

@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include "bench_data/registry.h"
 #include "bench_data/s27.h"
+#include "bench_data/synth_gen.h"
 #include "core/sym_fault_sim.h"
 #include "core/sym_true_value.h"
 #include "core/test_eval.h"
 #include "faults/collapse.h"
+#include "faults/fault_list.h"
 #include "reference.h"
 #include "sim3/sim2.h"
 #include "tpg/sequences.h"
@@ -362,6 +365,158 @@ TEST(SymFaultSim, DetectFrameIsRecorded) {
   EXPECT_EQ(r.detected_count, 1u);
   EXPECT_EQ(r.detect_frame[0], 2u);
   EXPECT_EQ(r.status[0], FaultStatus::DetectedSot);
+}
+
+// ---------------------------------------------------------------------------
+// Next-state divergence against a full faulty-machine evaluation
+// ---------------------------------------------------------------------------
+
+using StateDiff = std::vector<std::pair<std::uint32_t, Bdd>>;
+
+/// The faulty machine's next-state divergence by brute force: every
+/// gate is evaluated from the faulty present state (fault-free state
+/// with `present` applied) and every flip-flop is compared with the
+/// fault-free next state.
+StateDiff full_latch(const Netlist& nl, bdd::BddManager& mgr,
+                     const Fault& fault, const SymTrueValueSim& good,
+                     const StateDiff& present) {
+  const Bdd sv = mgr.constant(fault.stuck_value);
+  std::vector<Bdd> v(nl.node_count());
+  for (const NodeIndex n : nl.topo_order()) {
+    const Gate& g = nl.gate(n);
+    if (is_frame_input(g.type)) {
+      v[n] = good.values()[n];
+    } else {
+      v[n] = eval_gate_sym(mgr, g.type, g.fanins.size(),
+                           [&](std::size_t i) -> const Bdd& {
+                             if (fault.site.node == n && fault.site.pin == i) {
+                               return sv;
+                             }
+                             return v[g.fanins[i]];
+                           });
+    }
+    if (g.type == GateType::Dff) {
+      for (const auto& [pos, f] : present) {
+        if (nl.dffs()[pos] == n) v[n] = f;
+      }
+    }
+    if (fault.site.is_stem() && fault.site.node == n) v[n] = sv;
+  }
+  StateDiff next;
+  for (std::uint32_t pos = 0; pos < nl.dff_count(); ++pos) {
+    const NodeIndex dff = nl.dffs()[pos];
+    const bool pinned = !fault.site.is_stem() && fault.site.node == dff;
+    const Bdd fv = pinned ? sv : v[nl.gate(dff).fanins[0]];
+    if (fv != good.state()[pos]) next.emplace_back(pos, fv);
+  }
+  return next;
+}
+
+/// Runs every fault through `frames` random frames with step() (SOT)
+/// and step_multi(), comparing each frame's state_diff with full_latch
+/// until the fault is dropped.
+void expect_latch_matches_full_evaluation(const Netlist& nl,
+                                          const std::vector<Fault>& faults,
+                                          std::size_t frames,
+                                          std::uint64_t seed) {
+  Rng rng(seed);
+  const TestSequence seq = random_sequence(nl, frames, rng);
+  bdd::BddManager mgr;
+  const StateVars vars(nl.dff_count());
+  SymTrueValueSim good(nl, mgr, vars);
+  SymFaultPropagator prop(nl, mgr, vars);
+  std::vector<SymFaultState> single(faults.size());
+  std::vector<SymFaultPropagator::MultiFaultState> multi(faults.size());
+  std::vector<char> single_live(faults.size(), 1);
+  std::vector<char> multi_live(faults.size(), 1);
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    single[i].detect = mgr.one();
+    multi[i].rmot_detect = mgr.one();
+    multi[i].mot_detect = mgr.one();
+  }
+  std::size_t compared = 0;
+  for (std::size_t t = 0; t < seq.size(); ++t) {
+    (void)good.step(seq[t]);
+    SymFrameContext ctx(good.values(), good.state(), nl.output_count());
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      const Fault& f = faults[i];
+      if (single_live[i]) {
+        const StateDiff want =
+            full_latch(nl, mgr, f, good, single[i].state_diff);
+        if (prop.step(f, Strategy::Sot, single[i], ctx)) {
+          single_live[i] = 0;
+        } else {
+          ASSERT_EQ(single[i].state_diff, want)
+              << fault_name(nl, f) << " frame " << t << " in " << nl.name();
+          ++compared;
+        }
+      }
+      if (multi_live[i]) {
+        const StateDiff want =
+            full_latch(nl, mgr, f, good, multi[i].state_diff);
+        if (prop.step_multi(f, multi[i], ctx,
+                            static_cast<std::uint32_t>(t + 1))) {
+          multi_live[i] = 0;
+        } else {
+          ASSERT_EQ(multi[i].state_diff, want)
+              << fault_name(nl, f) << " frame " << t << " in " << nl.name()
+              << " (step_multi)";
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 0u) << nl.name();
+}
+
+TEST(SymLatch, MatchesFullEvaluationOnRosterCircuits) {
+  for (const char* name : {"s27", "s208.1", "s298", "s382"}) {
+    const Netlist nl = make_benchmark(name);
+    const CollapsedFaultList c(nl);
+    expect_latch_matches_full_evaluation(nl, c.faults(), 10, 21);
+  }
+}
+
+TEST(SymLatch, MatchesFullEvaluationOnRandomLogic) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const Netlist nl = generate_circuit(
+        SynthSpec{"rl", 6, 3, 10, 120, CircuitStyle::RandomLogic, seed});
+    const CollapsedFaultList c(nl);
+    expect_latch_matches_full_evaluation(nl, c.faults(), 10, seed + 100);
+  }
+}
+
+TEST(SymLatch, EdgeCasesMatchFullEvaluation) {
+  // g feeds two flip-flops (q1, q2) and a gate, so its D-pin branches
+  // are faults of their own; q2 -> q3 is a flip-flop chain; q1, q2 and
+  // q3 carry stem faults on flip-flop outputs.
+  Netlist nl("latch_edges");
+  const NodeIndex a = nl.add_input("a");
+  const NodeIndex b = nl.add_input("b");
+  const NodeIndex q1 = nl.add_dff(kNoNode, "q1");
+  const NodeIndex q2 = nl.add_dff(kNoNode, "q2");
+  const NodeIndex q3 = nl.add_dff(q2, "q3");
+  const NodeIndex g = nl.add_gate(GateType::Xor, {a, q1}, "g");
+  const NodeIndex h = nl.add_gate(GateType::And, {g, q3, b}, "h");
+  const NodeIndex q4 = nl.add_dff(h, "q4");
+  nl.set_fanins(q1, {g});
+  nl.set_fanins(q2, {g});
+  const NodeIndex o = nl.add_gate(GateType::Or, {h, q4}, "o");
+  nl.mark_output(o);
+  nl.finalize();
+
+  const std::vector<Fault> faults = all_faults(nl);
+  auto has = [&](NodeIndex node, std::uint32_t pin) {
+    for (const Fault& f : faults) {
+      if (f.site.node == node && f.site.pin == pin) return true;
+    }
+    return false;
+  };
+  ASSERT_TRUE(has(q1, 0) && has(q2, 0));                 // D-pin branches
+  ASSERT_TRUE(has(q3, 0));                               // chain D pin
+  ASSERT_TRUE(has(q1, kStemPin) && has(q3, kStemPin));   // DFF outputs
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    expect_latch_matches_full_evaluation(nl, faults, 8, seed);
+  }
 }
 
 }  // namespace
