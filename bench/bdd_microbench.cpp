@@ -1,7 +1,7 @@
 // Micro-benchmarks of the OBDD package (google-benchmark): the kernels
 // the symbolic fault simulator leans on — AND/XOR/ITE recursion,
-// composition, the order-preserving rename used by MOT, quantification
-// and garbage collection.
+// composition, the order-preserving rename used by MOT, quantification,
+// garbage collection and the handle registry's copy/move/destroy path.
 
 #include <benchmark/benchmark.h>
 
@@ -157,6 +157,26 @@ void BM_BddGc(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BddGc);
+
+void BM_HandleChurn(benchmark::State& state) {
+  // Handle traffic without BDD work: copies into a growing vector
+  // (which reallocates, moving every handle), move-assignments inside
+  // it, and destruction while it shrinks. Each item is one handle
+  // operation on the manager's registry.
+  BddManager mgr;
+  const auto fs = random_functions(mgr, 24, 64, 12);
+  std::vector<Bdd> v;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < 256; ++i) v.push_back(fs[i % 64]);
+    for (std::size_t i = 0; i + 1 < v.size(); i += 2) v[i] = std::move(v[i + 1]);
+    while (!v.empty()) v.pop_back();
+    v.shrink_to_fit();
+    benchmark::DoNotOptimize(mgr.handle_count());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          (256 + 128 + 256));
+}
+BENCHMARK(BM_HandleChurn);
 
 void BM_BddAndExists(benchmark::State& state) {
   BddManager mgr;

@@ -87,9 +87,13 @@ struct BddStats {
 /// RAII handle to a BDD function.
 ///
 /// A Bdd registers itself with its manager; garbage collection keeps
-/// every node reachable from a registered handle. Handles are cheap to
-/// copy/move (a pointer pair plus two list links). The manager must
-/// outlive all of its handles.
+/// every node reachable from a registered handle. A handle is a
+/// manager pointer, a node id and two links of the manager's intrusive
+/// registry list. Its special members are inline and cheap: a copy
+/// links one list entry; a move hands the source's list position to
+/// the target, so the registry is touched in O(1) without unlinking
+/// and relinking; assignment between handles of one manager only
+/// rewrites the node id. The manager must outlive all of its handles.
 ///
 /// Boolean structure is exposed through operators:
 ///   `f & g`, `f | g`, `f ^ g`, `!f`, `f.xnor(g)`, `f.implies(g)`.
@@ -162,6 +166,9 @@ class Bdd {
 
   void attach(BddManager* mgr, NodeId id) noexcept;
   void detach() noexcept;
+  /// Takes over `other`'s manager, node and registry position, leaving
+  /// `other` null. Requires this handle to be null.
+  void steal(Bdd& other) noexcept;
 
   BddManager* mgr_ = nullptr;
   NodeId id_ = kFalseId;
@@ -331,9 +338,11 @@ class BddManager {
   /// Checks the node-table invariants: every unique-table chain entry
   /// is a used slot that hashes to its bucket, every used slot sits in
   /// exactly one chain, no chain holds two equal nodes, the free list
-  /// holds exactly the unused slots, and the used-slot count equals
-  /// live_node_count(). Returns an empty string when they hold, else a
-  /// description of the first violation. Linear time; for tests.
+  /// holds exactly the unused slots, the used-slot count equals
+  /// live_node_count(), and the handle registry is a doubly-linked list
+  /// of handle_count() handles of this manager, each naming a used
+  /// slot. Returns an empty string when they hold, else a description
+  /// of the first violation. Linear time; for tests.
   [[nodiscard]] std::string check_invariants() const;
 
   /// Graphviz dump of one function, for debugging and docs.
@@ -454,7 +463,7 @@ class BddManager {
                         const std::vector<VarIndex>& vars, std::size_t idx,
                         std::unordered_map<std::uint64_t, NodeId>& memo);
 
-  // Registry management (called by Bdd).
+  // Registry management (called by Bdd; defined below).
   void register_handle(Bdd* h) noexcept;
   void unregister_handle(Bdd* h) noexcept;
 
@@ -489,6 +498,88 @@ class BddManager {
 
   BddStats stats_;
 };
+
+// ---- inline handle and registry operations ------------------------------
+
+inline void BddManager::register_handle(Bdd* h) noexcept {
+  h->reg_prev_ = nullptr;
+  h->reg_next_ = handles_head_;
+  if (handles_head_ != nullptr) handles_head_->reg_prev_ = h;
+  handles_head_ = h;
+  ++handle_counter_;
+}
+
+inline void BddManager::unregister_handle(Bdd* h) noexcept {
+  if (h->reg_prev_ != nullptr) {
+    h->reg_prev_->reg_next_ = h->reg_next_;
+  } else {
+    handles_head_ = h->reg_next_;
+  }
+  if (h->reg_next_ != nullptr) h->reg_next_->reg_prev_ = h->reg_prev_;
+  h->reg_prev_ = h->reg_next_ = nullptr;
+  --handle_counter_;
+}
+
+inline void Bdd::attach(BddManager* mgr, NodeId id) noexcept {
+  mgr_ = mgr;
+  id_ = id;
+  if (mgr_ != nullptr) mgr_->register_handle(this);
+}
+
+inline void Bdd::detach() noexcept {
+  if (mgr_ != nullptr) {
+    mgr_->unregister_handle(this);
+    mgr_ = nullptr;
+    id_ = kFalseId;
+  }
+}
+
+inline void Bdd::steal(Bdd& other) noexcept {
+  mgr_ = other.mgr_;
+  id_ = other.id_;
+  if (mgr_ == nullptr) return;
+  reg_prev_ = other.reg_prev_;
+  reg_next_ = other.reg_next_;
+  if (reg_prev_ != nullptr) {
+    reg_prev_->reg_next_ = this;
+  } else {
+    mgr_->handles_head_ = this;
+  }
+  if (reg_next_ != nullptr) reg_next_->reg_prev_ = this;
+  other.mgr_ = nullptr;
+  other.id_ = kFalseId;
+  other.reg_prev_ = other.reg_next_ = nullptr;
+}
+
+inline Bdd::Bdd(BddManager* mgr, NodeId id) noexcept { attach(mgr, id); }
+
+inline Bdd::Bdd(const Bdd& other) noexcept { attach(other.mgr_, other.id_); }
+
+inline Bdd::Bdd(Bdd&& other) noexcept { steal(other); }
+
+inline Bdd& Bdd::operator=(const Bdd& other) noexcept {
+  if (mgr_ == other.mgr_) {
+    id_ = other.id_;  // also covers self-assignment
+  } else {
+    detach();
+    attach(other.mgr_, other.id_);
+  }
+  return *this;
+}
+
+inline Bdd& Bdd::operator=(Bdd&& other) noexcept {
+  if (this == &other) return *this;
+  if (mgr_ != nullptr && mgr_ == other.mgr_) {
+    id_ = other.id_;
+    other.detach();
+  } else {
+    detach();
+    steal(other);
+  }
+  return *this;
+}
+
+inline Bdd::~Bdd() { detach(); }
 
 }  // namespace motsim::bdd
 

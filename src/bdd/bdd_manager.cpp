@@ -11,48 +11,6 @@ namespace motsim::bdd {
 // Bdd handle
 // ---------------------------------------------------------------------------
 
-Bdd::Bdd(BddManager* mgr, NodeId id) noexcept { attach(mgr, id); }
-
-Bdd::Bdd(const Bdd& other) noexcept { attach(other.mgr_, other.id_); }
-
-Bdd::Bdd(Bdd&& other) noexcept {
-  attach(other.mgr_, other.id_);
-  other.detach();
-}
-
-Bdd& Bdd::operator=(const Bdd& other) noexcept {
-  if (this != &other) {
-    detach();
-    attach(other.mgr_, other.id_);
-  }
-  return *this;
-}
-
-Bdd& Bdd::operator=(Bdd&& other) noexcept {
-  if (this != &other) {
-    detach();
-    attach(other.mgr_, other.id_);
-    other.detach();
-  }
-  return *this;
-}
-
-Bdd::~Bdd() { detach(); }
-
-void Bdd::attach(BddManager* mgr, NodeId id) noexcept {
-  mgr_ = mgr;
-  id_ = id;
-  if (mgr_ != nullptr) mgr_->register_handle(this);
-}
-
-void Bdd::detach() noexcept {
-  if (mgr_ != nullptr) {
-    mgr_->unregister_handle(this);
-    mgr_ = nullptr;
-    id_ = kFalseId;
-  }
-}
-
 VarIndex Bdd::top_var() const {
   assert(mgr_ != nullptr);
   return mgr_->var_of(id_);
@@ -136,25 +94,6 @@ BddManager::~BddManager() {
     if (handles_head_ != nullptr) handles_head_->reg_prev_ = nullptr;
     h->reg_prev_ = h->reg_next_ = nullptr;
   }
-}
-
-void BddManager::register_handle(Bdd* h) noexcept {
-  h->reg_prev_ = nullptr;
-  h->reg_next_ = handles_head_;
-  if (handles_head_ != nullptr) handles_head_->reg_prev_ = h;
-  handles_head_ = h;
-  ++handle_counter_;
-}
-
-void BddManager::unregister_handle(Bdd* h) noexcept {
-  if (h->reg_prev_ != nullptr) {
-    h->reg_prev_->reg_next_ = h->reg_next_;
-  } else {
-    handles_head_ = h->reg_next_;
-  }
-  if (h->reg_next_ != nullptr) h->reg_next_->reg_prev_ = h->reg_prev_;
-  h->reg_prev_ = h->reg_next_ = nullptr;
-  --handle_counter_;
 }
 
 std::size_t BddManager::bucket_of(VarIndex var, NodeId lo,
@@ -410,6 +349,28 @@ std::string BddManager::check_invariants() const {
   if (free_count != n - 2 - used_count) {
     return "free list holds " + std::to_string(free_count) + " of " +
            std::to_string(n - 2 - used_count) + " unused slots";
+  }
+
+  // The handle registry: a well-linked list of handles of this manager,
+  // each naming a used slot, as long as handle_count() says. The walk
+  // stops one past the expected length, so a cycle cannot hang it.
+  std::size_t handles = 0;
+  const Bdd* prev = nullptr;
+  for (const Bdd* h = handles_head_; h != nullptr; h = h->reg_next_) {
+    if (++handles > handle_counter_) {
+      return "registry holds more than " + std::to_string(handle_counter_) +
+             " handles";
+    }
+    if (h->reg_prev_ != prev) return "registry back link broken";
+    if (h->mgr_ != this) return "registry holds a foreign handle";
+    if (h->id_ >= n || used_[h->id_] == 0) {
+      return "handle names unused " + slot(h->id_);
+    }
+    prev = h;
+  }
+  if (handles != handle_counter_) {
+    return "registry holds " + std::to_string(handles) +
+           " handles but handle count " + std::to_string(handle_counter_);
   }
   return {};
 }

@@ -9,35 +9,23 @@ EventQueue::EventQueue(const Netlist& netlist) : netlist_(&netlist) {
     throw std::logic_error("EventQueue requires a finalized netlist");
   }
   buckets_.resize(netlist.max_level() + 1);
+  nonempty_.assign((buckets_.size() + 63) / 64, 0);
+  cursor_ = static_cast<std::uint32_t>(nonempty_.size());
   queued_.assign(netlist.node_count(), 0);
 }
 
-void EventQueue::push(NodeIndex node) {
-  if (queued_[node]) return;
-  queued_[node] = 1;
-  const std::uint32_t level = netlist_->level(node);
-  buckets_[level].push_back(node);
-  ++pending_;
-  if (level < cursor_) cursor_ = level;
-}
-
-NodeIndex EventQueue::pop() {
-  if (pending_ == 0) return kNoNode;
-  while (buckets_[cursor_].empty()) ++cursor_;
-  const NodeIndex node = buckets_[cursor_].back();
-  buckets_[cursor_].pop_back();
-  queued_[node] = 0;
-  --pending_;
-  return node;
-}
-
 void EventQueue::clear() {
-  for (auto& bucket : buckets_) {
-    for (NodeIndex n : bucket) queued_[n] = 0;
-    bucket.clear();
+  for (std::uint32_t w = cursor_; pending_ != 0; ++w) {
+    for (std::uint64_t bits = nonempty_[w]; bits != 0; bits &= bits - 1) {
+      std::vector<NodeIndex>& bucket =
+          buckets_[(w << 6) + std::countr_zero(bits)];
+      for (const NodeIndex n : bucket) queued_[n] = 0;
+      pending_ -= bucket.size();
+      bucket.clear();
+    }
+    nonempty_[w] = 0;
   }
-  pending_ = 0;
-  cursor_ = 0;
+  cursor_ = static_cast<std::uint32_t>(nonempty_.size());  // next push lowers it
 }
 
 std::vector<std::vector<NodeIndex>> nodes_by_level(const Netlist& netlist) {

@@ -66,19 +66,50 @@ const Bdd& SymFrameContext::frame_eq_product(
     const auto& outputs = netlist.outputs();
     // Never zero: every assignment with y == x satisfies each term.
     Bdd p = mgr.one();
-    for (std::size_t j = 0; j < outputs.size(); ++j) {
-      const Bdd& gv = good[outputs[j]];
-      if (gv.is_const()) continue;  // [b == b] == 1
-      p &= good_eq_term(j, gv, mgr, x2y);
+    for (const std::uint32_t j : symbolic_outputs(netlist)) {
+      p &= good_eq_term(j, good[outputs[j]], mgr, x2y);
     }
     eq_product_ = p;
   }
   return eq_product_;
 }
 
+const std::vector<std::uint32_t>& SymFrameContext::symbolic_outputs(
+    const Netlist& netlist) {
+  if (!symbolic_outputs_built_) {
+    const auto& outputs = netlist.outputs();
+    for (std::uint32_t j = 0; j < outputs.size(); ++j) {
+      if (!(*good_values_)[outputs[j]].is_const()) {
+        symbolic_outputs_.push_back(j);
+      }
+    }
+    symbolic_outputs_built_ = true;
+  }
+  return symbolic_outputs_;
+}
+
 // ---------------------------------------------------------------------------
 // SymFaultPropagator
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// CSR inverse of a position -> net list: for every net n, the
+/// positions p with nets[p] == n, ascending, are
+/// pos[begin[n] .. begin[n + 1]).
+void build_position_map(std::size_t node_count,
+                        const std::vector<NodeIndex>& nets,
+                        std::vector<std::uint32_t>& begin,
+                        std::vector<std::uint32_t>& pos) {
+  begin.assign(node_count + 1, 0);
+  for (const NodeIndex n : nets) ++begin[n + 1];
+  for (std::size_t n = 0; n < node_count; ++n) begin[n + 1] += begin[n];
+  pos.resize(nets.size());
+  std::vector<std::uint32_t> fill(begin.begin(), begin.end() - 1);
+  for (std::uint32_t p = 0; p < nets.size(); ++p) pos[fill[nets[p]]++] = p;
+}
+
+}  // namespace
 
 SymFaultPropagator::SymFaultPropagator(const Netlist& netlist,
                                        bdd::BddManager& mgr,
@@ -89,21 +120,16 @@ SymFaultPropagator::SymFaultPropagator(const Netlist& netlist,
       x2y_(vars.x_to_y_mapping()),
       scratch_val_(netlist.node_count()),
       scratch_stamp_(netlist.node_count(), 0),
-      queue_(netlist),
-      latch_begin_(netlist.node_count() + 1, 0) {
+      queue_(netlist) {
   mgr.ensure_vars(vars.var_count());
-  const auto& dffs = netlist.dffs();
-  for (const NodeIndex dff : dffs) {
-    ++latch_begin_[netlist.gate(dff).fanins[0] + 1];
+  std::vector<NodeIndex> d_nets;
+  d_nets.reserve(netlist.dff_count());
+  for (const NodeIndex dff : netlist.dffs()) {
+    d_nets.push_back(netlist.gate(dff).fanins[0]);
   }
-  for (std::size_t n = 0; n < netlist.node_count(); ++n) {
-    latch_begin_[n + 1] += latch_begin_[n];
-  }
-  latch_pos_.resize(dffs.size());
-  std::vector<std::uint32_t> fill(latch_begin_.begin(), latch_begin_.end() - 1);
-  for (std::uint32_t pos = 0; pos < dffs.size(); ++pos) {
-    latch_pos_[fill[netlist.gate(dffs[pos]).fanins[0]]++] = pos;
-  }
+  build_position_map(netlist.node_count(), d_nets, latch_begin_, latch_pos_);
+  build_position_map(netlist.node_count(), netlist.outputs(), out_begin_,
+                     out_pos_);
 }
 
 const Bdd& SymFaultPropagator::fval(NodeIndex node,
@@ -242,24 +268,40 @@ bool SymFaultPropagator::update_rmot(Bdd& detect,
 bool SymFaultPropagator::update_mot(Bdd& detect, SymFrameContext& ctx) {
   // All outputs contribute [o(x,t) == o^f(y,t)] (paper IV.A case 3);
   // the faulty x-based response is mapped to the independent initial
-  // state y by the order-preserving rename.
+  // state y by the order-preserving rename. An undiverged output with a
+  // constant fault-free value contributes [b == b] == 1, so only the
+  // diverged positions and the frame's symbolic ones are visited —
+  // merged in ascending position order, the order (and hence every
+  // node created and every GC point) of a dense walk over all outputs.
   const Netlist& nl = *netlist_;
   const std::vector<Bdd>& good = ctx.good_values();
   const auto& outputs = nl.outputs();
-  for (std::size_t j = 0; j < outputs.size(); ++j) {
-    const NodeIndex n = outputs[j];
-    const bool diverged =
-        scratch_stamp_[n] == stamp_ && scratch_val_[n] != good[n];
-    Bdd term;
-    if (diverged) {
-      const Bdd of_y = mgr_->rename(scratch_val_[n], x2y_);
-      term = good[n].xnor(of_y);
-    } else if (good[n].is_const()) {
-      continue;  // [b == b] == 1
-    } else {
-      term = ctx.good_eq_term(j, good[n], *mgr_, x2y_);
+  diverged_.clear();
+  for (const NodeIndex n : changed_) {
+    if (out_begin_[n] == out_begin_[n + 1] || scratch_val_[n] == good[n]) {
+      continue;
     }
-    detect &= term;
+    diverged_.insert(diverged_.end(), out_pos_.begin() + out_begin_[n],
+                     out_pos_.begin() + out_begin_[n + 1]);
+  }
+  std::sort(diverged_.begin(), diverged_.end());
+  const std::vector<std::uint32_t>& symbolic = ctx.symbolic_outputs(nl);
+  auto d = diverged_.begin();
+  auto s = symbolic.begin();
+  while (d != diverged_.end() || s != symbolic.end()) {
+    const std::uint32_t j =
+        s == symbolic.end() || (d != diverged_.end() && *d <= *s) ? *d : *s;
+    const NodeIndex n = outputs[j];
+    if (s != symbolic.end() && *s == j) ++s;
+    if (d != diverged_.end() && *d == j) {
+      ++d;
+      // Two statements: the renamed response must be released before
+      // the AND's auto-GC check (node-creation neutrality, DESIGN.md).
+      const Bdd term = good[n].xnor(mgr_->rename(scratch_val_[n], x2y_));
+      detect &= term;
+    } else {
+      detect &= ctx.good_eq_term(j, good[n], *mgr_, x2y_);
+    }
     if (detect.is_zero()) return true;
   }
   return false;

@@ -87,12 +87,19 @@ class SymFrameContext {
                                    bdd::BddManager& mgr,
                                    const std::vector<bdd::VarIndex>& x2y);
 
+  /// Ascending positions j of the outputs whose fault-free value is
+  /// non-constant this frame: the only undiverged outputs with a MOT
+  /// term other than 1. Built on first use.
+  const std::vector<std::uint32_t>& symbolic_outputs(const Netlist& netlist);
+
  private:
   const std::vector<bdd::Bdd>* good_values_;
   const std::vector<bdd::Bdd>* good_next_state_;
   std::vector<bdd::Bdd> out_y_;    ///< null until first use
   std::vector<bdd::Bdd> eq_term_;  ///< null until first use
   bdd::Bdd eq_product_;            ///< null until first use
+  std::vector<std::uint32_t> symbolic_outputs_;
+  bool symbolic_outputs_built_ = false;
 };
 
 /// Event-driven symbolic single-fault frame kernel.
@@ -230,6 +237,12 @@ class SymFaultPropagator {
   // latch_pos_[latch_begin_[n] .. latch_begin_[n + 1]).
   std::vector<std::uint32_t> latch_begin_;
   std::vector<std::uint32_t> latch_pos_;
+  // CSR map from a net to the output positions it drives (a net may be
+  // listed as several outputs): out_pos_[out_begin_[n] .. out_begin_[n+1]).
+  std::vector<std::uint32_t> out_begin_;
+  std::vector<std::uint32_t> out_pos_;
+  /// update_mot scratch: diverged output positions, ascending.
+  std::vector<std::uint32_t> diverged_;
   /// latch_diffs scratch: (position, source net; kNoNode = stuck value).
   std::vector<std::pair<std::uint32_t, NodeIndex>> latch_hits_;
   bool trim_ = false;

@@ -85,26 +85,30 @@ template <typename Getter>
       return get(0);
     case GateType::Not:
       return !get(0);
+    // The accumulations start from operand 0. Applying the identity
+    // constant first would create no node, and since a finalized
+    // netlist gives these gates at least two fanins, the auto-GC check
+    // it would add sees the live set of the next apply's check.
     case GateType::And:
     case GateType::Nand: {
-      Bdd acc = mgr.one();
-      for (std::size_t i = 0; i < arity && !acc.is_zero(); ++i) {
+      Bdd acc = get(0);
+      for (std::size_t i = 1; i < arity && !acc.is_zero(); ++i) {
         acc &= get(i);
       }
       return type == GateType::Nand ? !acc : acc;
     }
     case GateType::Or:
     case GateType::Nor: {
-      Bdd acc = mgr.zero();
-      for (std::size_t i = 0; i < arity && !acc.is_one(); ++i) {
+      Bdd acc = get(0);
+      for (std::size_t i = 1; i < arity && !acc.is_one(); ++i) {
         acc |= get(i);
       }
       return type == GateType::Nor ? !acc : acc;
     }
     case GateType::Xor:
     case GateType::Xnor: {
-      Bdd acc = mgr.zero();
-      for (std::size_t i = 0; i < arity; ++i) acc ^= get(i);
+      Bdd acc = get(0);
+      for (std::size_t i = 1; i < arity; ++i) acc ^= get(i);
       return type == GateType::Xnor ? !acc : acc;
     }
     default:

@@ -132,6 +132,46 @@ TEST(BddBasic, SelfAssignmentIsSafe) {
   EXPECT_EQ(mgr.handle_count(), 1u);
 }
 
+TEST(BddBasic, SelfMoveIsSafe) {
+  BddManager mgr;
+  Bdd a = mgr.var(0) & mgr.var(1);
+  const NodeId id = a.id();
+  Bdd& alias = a;
+  a = std::move(alias);
+  EXPECT_EQ(a.id(), id);
+  EXPECT_EQ(a.manager(), &mgr);
+  EXPECT_EQ(mgr.handle_count(), 1u);
+  EXPECT_EQ(mgr.check_invariants(), "");
+}
+
+TEST(BddBasic, CopyAndMoveAcrossManagers) {
+  BddManager m1, m2;
+  Bdd a = m1.var(0);
+  Bdd b = m2.var(1);
+  Bdd c = m2.var(2);
+  b = a;  // copy: b leaves m2's registry and joins m1's
+  EXPECT_EQ(b, a);
+  EXPECT_EQ(m1.handle_count(), 2u);
+  EXPECT_EQ(m2.handle_count(), 1u);
+  c = std::move(a);  // move: c leaves m2, takes a's place in m1
+  EXPECT_TRUE(a.is_null());
+  EXPECT_EQ(c, b);
+  EXPECT_EQ(m1.handle_count(), 2u);
+  EXPECT_EQ(m2.handle_count(), 0u);
+  a = m2.var(3);
+  Bdd d(std::move(a));  // move construction inside m2
+  EXPECT_TRUE(a.is_null());
+  EXPECT_EQ(d.manager(), &m2);
+  b = std::move(d);  // move from m2 into a handle of m1
+  EXPECT_TRUE(d.is_null());
+  EXPECT_EQ(b.manager(), &m2);
+  EXPECT_EQ(b.top_var(), 3u);
+  EXPECT_EQ(m1.handle_count(), 1u);
+  EXPECT_EQ(m2.handle_count(), 1u);
+  EXPECT_EQ(m1.check_invariants(), "");
+  EXPECT_EQ(m2.check_invariants(), "");
+}
+
 TEST(BddBasic, EqualityIsPerManager) {
   BddManager m1, m2;
   const Bdd a = m1.var(0);

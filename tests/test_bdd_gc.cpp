@@ -142,6 +142,72 @@ TEST(BddGc, ManagerOutlivesDetachedHandles) {
   EXPECT_TRUE(stray.is_null());
 }
 
+TEST(BddGc, MovedHandlesStayGcRoots) {
+  // Handles moved by vector reallocation, move construction and move
+  // assignment must stay registered: after gc() every function is
+  // unchanged and the registry agrees with handle_count().
+  BddManager mgr;
+  Rng rng(17);
+  constexpr unsigned kVars = 6;
+  auto random_function = [&] {
+    Bdd f = mgr.var(static_cast<unsigned>(rng.below(kVars)));
+    for (int j = 0; j < 4; ++j) {
+      const Bdd v = mgr.var(static_cast<unsigned>(rng.below(kVars)));
+      f = rng.flip() ? (f & v) : (f ^ v);
+    }
+    return f;
+  };
+  auto truth_table = [&](const Bdd& f) {
+    std::vector<bool> table;
+    for (unsigned m = 0; m < (1u << kVars); ++m) {
+      std::vector<bool> a(kVars);
+      for (unsigned v = 0; v < kVars; ++v) a[v] = ((m >> v) & 1u) != 0;
+      table.push_back(f.eval(a));
+    }
+    return table;
+  };
+
+  std::vector<Bdd> fs;  // no reserve: push_back reallocates repeatedly
+  std::vector<std::vector<bool>> want;
+  for (int i = 0; i < 40; ++i) {
+    fs.push_back(random_function());
+    want.push_back(truth_table(fs.back()));
+  }
+  Bdd moved_in(std::move(fs[3]));
+  want.push_back(want[3]);
+  Bdd assigned = mgr.one();
+  assigned = std::move(fs[7]);
+  want.push_back(want[7]);
+  Bdd from_null;
+  from_null = std::move(fs[11]);
+  want.push_back(want[11]);
+  fs.push_back(std::move(moved_in));
+  fs.push_back(std::move(assigned));
+  fs.push_back(std::move(from_null));
+  EXPECT_TRUE(fs[3].is_null() && fs[7].is_null() && fs[11].is_null());
+  EXPECT_TRUE(moved_in.is_null() && assigned.is_null() && from_null.is_null());
+  fs.erase(fs.begin() + 11);
+  fs.erase(fs.begin() + 7);
+  fs.erase(fs.begin() + 3);
+  want.erase(want.begin() + 11);
+  want.erase(want.begin() + 7);
+  want.erase(want.begin() + 3);
+
+  // Unreferenced garbage, so the collection has something to free.
+  for (int i = 0; i < 20; ++i) (void)random_function();
+  ASSERT_EQ(mgr.check_invariants(), "");
+  mgr.gc();
+  ASSERT_EQ(mgr.check_invariants(), "");
+  EXPECT_EQ(mgr.handle_count(), fs.size());
+  // New nodes reuse the freed slots; a lost root would be overwritten.
+  std::vector<Bdd> fresh;
+  for (int i = 0; i < 20; ++i) fresh.push_back(random_function());
+  ASSERT_EQ(mgr.check_invariants(), "");
+  for (std::size_t i = 0; i < fs.size(); ++i) {
+    EXPECT_EQ(truth_table(fs[i]), want[i]) << "function " << i;
+  }
+}
+
 TEST(BddGc, PeakLiveNodesIsMonotone) {
   BddManager mgr;
   Bdd f = mgr.zero();

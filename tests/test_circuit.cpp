@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench_data/registry.h"
 #include "bench_data/s27.h"
 #include "circuit/ffr.h"
 #include "circuit/levelize.h"
@@ -10,6 +11,7 @@
 #include "circuit/stats.h"
 #include "circuit/validate.h"
 #include "faults/collapse.h"
+#include "util/rng.h"
 
 namespace motsim {
 namespace {
@@ -202,6 +204,132 @@ TEST(EventQueue, ClearForgetsEverything) {
   // Cleared nodes can be pushed again.
   q.push(0);
   EXPECT_EQ(q.pop(), 0u);
+}
+
+/// The queue's contract without its level bitmap: one LIFO bucket per
+/// level, the lowest non-empty bucket found by stepping level by level.
+class ScanQueue {
+ public:
+  explicit ScanQueue(const Netlist& nl)
+      : nl_(&nl), buckets_(nl.max_level() + 1), queued_(nl.node_count(), 0) {}
+
+  void push(NodeIndex n) {
+    if (queued_[n]) return;
+    queued_[n] = 1;
+    buckets_[nl_->level(n)].push_back(n);
+  }
+
+  NodeIndex pop() {
+    for (auto& bucket : buckets_) {
+      if (bucket.empty()) continue;
+      const NodeIndex n = bucket.back();
+      bucket.pop_back();
+      queued_[n] = 0;
+      return n;
+    }
+    return kNoNode;
+  }
+
+  void clear() {
+    for (auto& bucket : buckets_) {
+      for (const NodeIndex n : bucket) queued_[n] = 0;
+      bucket.clear();
+    }
+  }
+
+ private:
+  const Netlist* nl_;
+  std::vector<std::vector<NodeIndex>> buckets_;
+  std::vector<std::uint8_t> queued_;
+};
+
+// s5378's 1,362 levels span 22 words of the level bitmap; s27 fits in
+// one.
+TEST(EventQueue, DeepCircuitTracesMatchPerLevelScan) {
+  const Netlist nl = make_benchmark("s5378");
+  ASSERT_GT(nl.max_level(), 1000u);
+  EventQueue q(nl);
+  ScanQueue ref(nl);
+  Rng rng(5378);
+  std::size_t pops = 0;
+  for (int step = 0; step < 200000; ++step) {
+    const std::uint64_t op = rng.below(100);
+    if (op < 55) {
+      // Pushes anywhere, below the levels already popped included.
+      const auto n = static_cast<NodeIndex>(rng.below(nl.node_count()));
+      q.push(n);
+      ref.push(n);
+    } else if (op < 99) {
+      const NodeIndex want = ref.pop();
+      ASSERT_EQ(q.pop(), want) << "step " << step;
+      pops += want != kNoNode;
+    } else {
+      q.clear();
+      ref.clear();
+      ASSERT_TRUE(q.empty());
+      ASSERT_EQ(q.pop(), kNoNode);
+    }
+  }
+  for (NodeIndex want = ref.pop(); want != kNoNode; want = ref.pop()) {
+    ASSERT_EQ(q.pop(), want);
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_GT(pops, 10000u);
+}
+
+TEST(EventQueue, WordBoundaryAndTopLevels) {
+  const Netlist nl = make_benchmark("s5378");
+  const std::uint32_t top = nl.max_level();
+  // One node per level at every multiple of 64, its neighbours, and
+  // the top level.
+  std::vector<NodeIndex> at_level(top + 1, kNoNode);
+  for (NodeIndex n = 0; n < nl.node_count(); ++n) at_level[nl.level(n)] = n;
+  std::vector<std::uint32_t> levels;
+  for (std::uint32_t l = 0; l <= top; l += 64) {
+    for (std::uint32_t d : {l == 0 ? 0u : l - 1, l, l + 1}) {
+      if (d <= top && (levels.empty() || levels.back() < d)) levels.push_back(d);
+    }
+  }
+  if (levels.back() != top) levels.push_back(top);
+
+  EventQueue q(nl);
+  for (auto it = levels.rbegin(); it != levels.rend(); ++it) {
+    ASSERT_NE(at_level[*it], kNoNode) << "level " << *it;
+    q.push(at_level[*it]);
+  }
+  for (const std::uint32_t l : levels) EXPECT_EQ(q.pop(), at_level[l]);
+  EXPECT_EQ(q.pop(), kNoNode);
+
+  // The top level alone, then a push below it after the pop.
+  q.push(at_level[top]);
+  EXPECT_EQ(q.pop(), at_level[top]);
+  q.push(at_level[64]);
+  q.push(at_level[top]);
+  EXPECT_EQ(q.pop(), at_level[64]);
+  EXPECT_EQ(q.pop(), at_level[top]);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, ClearMidTraceLeavesAReusableQueue) {
+  const Netlist nl = make_benchmark("s5378");
+  EventQueue q(nl);
+  const auto& topo = nl.topo_order();
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) q.push(*it);
+  for (int i = 0; i < 500; ++i) ASSERT_NE(q.pop(), kNoNode);
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.pop(), kNoNode);
+  // Every node, cleared ones included, can be queued again, and the
+  // pops come back in level order.
+  for (const NodeIndex n : topo) q.push(n);
+  std::uint32_t last_level = 0;
+  std::size_t popped = 0;
+  for (NodeIndex n = q.pop(); n != kNoNode; n = q.pop()) {
+    EXPECT_GE(nl.level(n), last_level);
+    last_level = nl.level(n);
+    ++popped;
+  }
+  EXPECT_EQ(popped, nl.node_count());
 }
 
 TEST(NodesByLevel, PartitionsAllNodes) {

@@ -8,8 +8,11 @@
 #include "bench_data/registry.h"
 #include "bench_data/s27.h"
 #include "core/hybrid_sim.h"
+#include "core/options.h"
+#include "core/pipeline.h"
 #include "core/sym_fault_sim.h"
 #include "faults/collapse.h"
+#include "obs/telemetry.h"
 #include "reference.h"
 #include "tpg/sequences.h"
 #include "util/rng.h"
@@ -195,6 +198,92 @@ TEST(Hybrid, ThreeValuedWindowStillDropsFaults) {
   const auto r = sim.run(seq);
   EXPECT_TRUE(r.used_fallback);
   EXPECT_GT(r.detected_count, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Node-creation contract
+// ---------------------------------------------------------------------------
+
+/// The BDD work and verdicts of one default pipeline run.
+struct PipelineWork {
+  std::uint64_t nodes_created = 0;
+  std::uint64_t cache_lookups = 0;
+  std::uint64_t gc_runs = 0;
+  std::uint64_t peak_live_nodes = 0;
+  std::uint64_t fallback_windows = 0;
+  std::uint64_t symbolic_frames = 0;
+  std::uint64_t three_valued_frames = 0;
+  std::size_t detected = 0;
+  std::uint64_t verdict_digest = 0;  ///< FNV-1a over (status, frame) pairs
+};
+
+PipelineWork pipeline_work(const char* circuit, Strategy strategy,
+                           std::size_t vectors, std::uint64_t seed) {
+  const Netlist nl = make_benchmark(circuit);
+  const CollapsedFaultList c(nl);
+  Rng rng(seed);
+  const TestSequence seq = random_sequence(nl, vectors, rng);
+  obs::Telemetry telemetry;
+  SimOptions o;
+  o.strategy = strategy;
+  o.threads = 1;
+  o.telemetry = &telemetry;
+  const PipelineResult r = run_pipeline(nl, c.faults(), seq, o);
+
+  obs::MetricsRegistry& m = telemetry.metrics;
+  PipelineWork w;
+  w.nodes_created = m.counter("bdd.nodes_created").value();
+  w.cache_lookups = m.counter("bdd.apply_cache_lookups").value();
+  w.gc_runs = m.counter("bdd.gc_runs").value();
+  w.peak_live_nodes =
+      static_cast<std::uint64_t>(m.gauge("bdd.peak_live_nodes").value());
+  w.fallback_windows = m.counter("hybrid.fallback_windows").value();
+  w.symbolic_frames = m.counter("hybrid.symbolic_frames").value();
+  w.three_valued_frames = m.counter("hybrid.three_valued_frames").value();
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::size_t i = 0; i < r.status.size(); ++i) {
+    w.detected += is_detected(r.status[i]) ? 1 : 0;
+    h = (h ^ static_cast<std::uint64_t>(r.status[i])) * 1099511628211ull;
+    h = (h ^ r.detect_frame[i]) * 1099511628211ull;
+  }
+  w.verdict_digest = h;
+  return w;
+}
+
+// The hard node limit (node_limit x hard_limit_factor) counts every
+// node allocated since the last gc(), garbage included, and the soft
+// limit reads the count after the frame's gc(). Which nodes the
+// symbolic loop creates, and when it collects, therefore decide where
+// fallback windows open and so the verdicts. A change to the frame
+// loop's bookkeeping must leave these counts exactly as they are. The
+// expected values were recorded with the frame loop that scanned every
+// output per fault-frame, stepped the event queue level by level and
+// applied the identity constant first in eval_gate_sym.
+
+TEST(HybridDeterminism, S5378MotHardLimitCellKeepsItsBddWork) {
+  const PipelineWork w = pipeline_work("s5378", Strategy::Mot, 40, 1);
+  EXPECT_EQ(w.peak_live_nodes, 239998u);  // the 8 x 30,000 hard limit trips
+  EXPECT_EQ(w.nodes_created, 1032489u);
+  EXPECT_EQ(w.cache_lookups, 6941163u);
+  EXPECT_EQ(w.gc_runs, 28u);
+  EXPECT_EQ(w.fallback_windows, 3u);
+  EXPECT_EQ(w.symbolic_frames, 16u);
+  EXPECT_EQ(w.three_valued_frames, 24u);
+  EXPECT_EQ(w.detected, 1982u);
+  EXPECT_EQ(w.verdict_digest, 0x9ecc3e593f32f608ull);
+}
+
+TEST(HybridDeterminism, S953RmotCellKeepsItsBddWork) {
+  const PipelineWork w = pipeline_work("s953", Strategy::Rmot, 48, 1);
+  EXPECT_EQ(w.peak_live_nodes, 74848u);
+  EXPECT_EQ(w.nodes_created, 1249121u);
+  EXPECT_EQ(w.cache_lookups, 4099577u);
+  EXPECT_EQ(w.gc_runs, 50u);
+  EXPECT_EQ(w.fallback_windows, 3u);
+  EXPECT_EQ(w.symbolic_frames, 30u);
+  EXPECT_EQ(w.three_valued_frames, 18u);
+  EXPECT_EQ(w.detected, 84u);
+  EXPECT_EQ(w.verdict_digest, 0xeb9b0e53a7e849ecull);
 }
 
 }  // namespace

@@ -373,13 +373,12 @@ TEST(SymFaultSim, DetectFrameIsRecorded) {
 
 using StateDiff = std::vector<std::pair<std::uint32_t, Bdd>>;
 
-/// The faulty machine's next-state divergence by brute force: every
-/// gate is evaluated from the faulty present state (fault-free state
-/// with `present` applied) and every flip-flop is compared with the
-/// fault-free next state.
-StateDiff full_latch(const Netlist& nl, bdd::BddManager& mgr,
-                     const Fault& fault, const SymTrueValueSim& good,
-                     const StateDiff& present) {
+/// The faulty machine's frame by brute force: every gate is evaluated
+/// from the faulty present state (fault-free state with `present`
+/// applied).
+std::vector<Bdd> full_eval(const Netlist& nl, bdd::BddManager& mgr,
+                           const Fault& fault, const SymTrueValueSim& good,
+                           const StateDiff& present) {
   const Bdd sv = mgr.constant(fault.stuck_value);
   std::vector<Bdd> v(nl.node_count());
   for (const NodeIndex n : nl.topo_order()) {
@@ -402,6 +401,17 @@ StateDiff full_latch(const Netlist& nl, bdd::BddManager& mgr,
     }
     if (fault.site.is_stem() && fault.site.node == n) v[n] = sv;
   }
+  return v;
+}
+
+/// The faulty machine's next-state divergence by brute force: every
+/// flip-flop of full_eval's frame is compared with the fault-free next
+/// state.
+StateDiff full_latch(const Netlist& nl, bdd::BddManager& mgr,
+                     const Fault& fault, const SymTrueValueSim& good,
+                     const StateDiff& present) {
+  const Bdd sv = mgr.constant(fault.stuck_value);
+  const std::vector<Bdd> v = full_eval(nl, mgr, fault, good, present);
   StateDiff next;
   for (std::uint32_t pos = 0; pos < nl.dff_count(); ++pos) {
     const NodeIndex dff = nl.dffs()[pos];
@@ -516,6 +526,179 @@ TEST(SymLatch, EdgeCasesMatchFullEvaluation) {
   ASSERT_TRUE(has(q1, kStemPin) && has(q3, kStemPin));   // DFF outputs
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     expect_latch_matches_full_evaluation(nl, faults, 8, seed);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// MOT and rMOT updates against a dense per-output accumulation
+// ---------------------------------------------------------------------------
+
+/// One frame of MOT by brute force: `detect` ANDed with
+/// [o_j(x) == o_j^f(y)] for every output position j, the faulty
+/// outputs taken from full_eval. Stops at zero, which absorbs every
+/// later term (some of those equalities have huge OBDDs).
+Bdd dense_mot(const Netlist& nl, bdd::BddManager& mgr, const StateVars& vars,
+              const std::vector<Bdd>& good, const std::vector<Bdd>& faulty,
+              Bdd detect) {
+  const std::vector<bdd::VarIndex> x2y = vars.x_to_y_mapping();
+  for (const NodeIndex o : nl.outputs()) {
+    if (detect.is_zero()) break;
+    detect &= good[o].xnor(mgr.rename(faulty[o], x2y));
+  }
+  return detect;
+}
+
+/// One frame of rMOT by brute force: `detect` ANDed with the faulty
+/// output's agreement with every constant fault-free output.
+Bdd dense_rmot(const Netlist& nl, const std::vector<Bdd>& good,
+               const std::vector<Bdd>& faulty, Bdd detect) {
+  for (const NodeIndex o : nl.outputs()) {
+    if (!good[o].is_const()) continue;
+    detect &= good[o].is_one() ? faulty[o] : !faulty[o];
+  }
+  return detect;
+}
+
+/// Runs every fault through `frames` random frames with step() (MOT)
+/// and step_multi(), comparing D~ after every frame with dense_mot
+/// (and step_multi's rMOT D~ with dense_rmot) until the fault is
+/// dropped: the sparse update may skip only unit terms.
+void expect_mot_matches_dense_accumulation(const Netlist& nl,
+                                           const std::vector<Fault>& faults,
+                                           std::size_t frames,
+                                           std::uint64_t seed, bool trim) {
+  Rng rng(seed);
+  const TestSequence seq = random_sequence(nl, frames, rng);
+  bdd::BddManager mgr;
+  const StateVars vars(nl.dff_count());
+  SymTrueValueSim good(nl, mgr, vars);
+  SymFaultPropagator prop(nl, mgr, vars);
+  prop.set_trim(trim);
+  std::vector<SymFaultState> single(faults.size());
+  std::vector<SymFaultPropagator::MultiFaultState> multi(faults.size());
+  std::vector<char> single_live(faults.size(), 1);
+  std::vector<char> multi_live(faults.size(), 1);
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    single[i].detect = mgr.one();
+    multi[i].rmot_detect = mgr.one();
+    multi[i].mot_detect = mgr.one();
+  }
+  std::size_t compared = 0;
+  for (std::size_t t = 0; t < seq.size(); ++t) {
+    (void)good.step(seq[t]);
+    const std::vector<Bdd>& gv = good.values();
+    SymFrameContext ctx(gv, good.state(), nl.output_count());
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      const Fault& f = faults[i];
+      const std::string where = fault_name(nl, f) + " frame " +
+                                std::to_string(t) + " in " + nl.name();
+      if (single_live[i]) {
+        const std::vector<Bdd> fv =
+            full_eval(nl, mgr, f, good, single[i].state_diff);
+        const Bdd want = dense_mot(nl, mgr, vars, gv, fv, single[i].detect);
+        const bool done = prop.step(f, Strategy::Mot, single[i], ctx);
+        ASSERT_EQ(done, want.is_zero()) << where;
+        if (done) {
+          single_live[i] = 0;
+        } else {
+          ASSERT_EQ(single[i].detect, want) << where;
+          ++compared;
+        }
+      }
+      if (multi_live[i]) {
+        SymFaultPropagator::MultiFaultState& ms = multi[i];
+        const std::vector<Bdd> fv = full_eval(nl, mgr, f, good, ms.state_diff);
+        const bool mot_open = !ms.mot_done;
+        const bool rmot_open = !ms.rmot_done;
+        const Bdd want_mot =
+            mot_open ? dense_mot(nl, mgr, vars, gv, fv, ms.mot_detect) : Bdd();
+        const Bdd want_rmot =
+            rmot_open ? dense_rmot(nl, gv, fv, ms.rmot_detect) : Bdd();
+        if (prop.step_multi(f, ms, ctx, static_cast<std::uint32_t>(t + 1))) {
+          multi_live[i] = 0;
+        }
+        if (mot_open) {
+          ASSERT_EQ(ms.mot_done, want_mot.is_zero()) << where;
+          if (!ms.mot_done) {
+            ASSERT_EQ(ms.mot_detect, want_mot) << where;
+          }
+        }
+        if (rmot_open) {
+          ASSERT_EQ(ms.rmot_done, want_rmot.is_zero()) << where << " (rMOT)";
+          if (!ms.rmot_done) {
+            ASSERT_EQ(ms.rmot_detect, want_rmot) << where << " (rMOT)";
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 0u) << nl.name();
+}
+
+struct MotRosterCell {
+  const char* circuit;
+  std::size_t frames;
+  std::uint64_t seed;
+};
+
+void PrintTo(const MotRosterCell& cell, std::ostream* os) {
+  *os << cell.circuit << ", " << cell.frames << " frames, seed " << cell.seed;
+}
+
+class SymMotUpdateRoster : public ::testing::TestWithParam<MotRosterCell> {};
+
+TEST_P(SymMotUpdateRoster, MatchesDenseAccumulation) {
+  const MotRosterCell& cell = GetParam();
+  const Netlist nl = make_benchmark(cell.circuit);
+  const CollapsedFaultList c(nl);
+  for (const bool trim : {false, true}) {
+    expect_mot_matches_dense_accumulation(nl, c.faults(), cell.frames,
+                                          cell.seed, trim);
+  }
+}
+
+// Unbounded MOT D~ can grow exponentially (the reason for the hybrid
+// simulator's node limit): on s382 the product of the fault-free
+// output equalities alone passes 10^5 nodes in frame 0 for some input
+// sequences. The cells keep every D~ small enough for a unit test.
+INSTANTIATE_TEST_SUITE_P(Circuits, SymMotUpdateRoster,
+                         ::testing::Values(MotRosterCell{"s27", 8, 31},
+                                           MotRosterCell{"s208.1", 8, 31},
+                                           MotRosterCell{"s298", 6, 31},
+                                           MotRosterCell{"s382", 4, 1}));
+
+TEST(SymMotUpdate, MatchesDenseAccumulationOnRandomLogic) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const Netlist nl = generate_circuit(
+        SynthSpec{"rl", 6, 3, 10, 120, CircuitStyle::RandomLogic, seed});
+    const CollapsedFaultList c(nl);
+    expect_mot_matches_dense_accumulation(nl, c.faults(), 10, seed + 200,
+                                          seed % 2 == 0);
+  }
+}
+
+TEST(SymMotUpdate, SharedAndConstantOutputsMatchDenseAccumulation) {
+  // Output positions: 0 and 6 are the same net g1 (so a divergence
+  // there sits at the first and the last position), 2 and 4 the same
+  // net g3; position 1 is a primary input and position 3 a constant
+  // gate, whose fault-free values are constant in every frame.
+  Netlist nl("mot_outputs");
+  const NodeIndex a = nl.add_input("a");
+  const NodeIndex b = nl.add_input("b");
+  const NodeIndex q1 = nl.add_dff(kNoNode, "q1");
+  const NodeIndex q2 = nl.add_dff(kNoNode, "q2");
+  const NodeIndex g1 = nl.add_gate(GateType::Xor, {a, q1}, "g1");
+  const NodeIndex g2 = nl.add_gate(GateType::And, {b, q2}, "g2");
+  const NodeIndex g3 = nl.add_gate(GateType::Or, {g1, g2}, "g3");
+  const NodeIndex zero = nl.add_gate(GateType::Const0, {}, "zero");
+  nl.set_fanins(q1, {g3});
+  nl.set_fanins(q2, {g1});
+  for (const NodeIndex o : {g1, a, g3, zero, g3, g2, g1}) nl.mark_output(o);
+  nl.finalize();
+
+  const std::vector<Fault> faults = all_faults(nl);
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    expect_mot_matches_dense_accumulation(nl, faults, 8, seed, seed > 4);
   }
 }
 
