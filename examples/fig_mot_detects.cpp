@@ -16,7 +16,7 @@
 
 #include <cstdio>
 
-#include "core/sym_fault_sim.h"
+#include "core/hybrid_sim.h"
 #include "core/sym_true_value.h"
 #include "sim3/sim2.h"
 #include "tpg/sequences.h"
@@ -92,7 +92,8 @@ int main() {
 
   const std::vector<Fault> faults{fault};
   for (Strategy s : {Strategy::Sot, Strategy::Rmot, Strategy::Mot}) {
-    SymFaultSim sim(nl, faults, s);
+    HybridFaultSim sim(
+        nl, faults, HybridConfig{.strategy = s, .node_limit = kNoNodeLimit});
     const auto r = sim.run(seq);
     std::printf("%-4s: %s\n", to_cstring(s),
                 r.detected_count == 1 ? "DETECTED" : "not detected");

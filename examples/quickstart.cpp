@@ -13,9 +13,9 @@
 #include <cstdio>
 
 #include "bench_data/s27.h"
+#include "core/hybrid_sim.h"
 #include "core/options.h"
 #include "core/pipeline.h"
-#include "core/sym_fault_sim.h"
 #include "core/xred.h"
 #include "faults/collapse.h"
 #include "sim3/fault_sim3.h"
@@ -56,15 +56,18 @@ int main() {
 
   // 4. Symbolic fault simulation of the X01 leftovers, one strategy at
   //    a time. Every strategy sees exactly the faults that X01 could
-  //    not classify.
+  //    not classify. No node limit: s27 is small enough to run purely
+  //    symbolic (the pipeline below uses the paper's 30,000).
   std::vector<FaultStatus> leftover = r3.status;
   for (auto& s : leftover) {
     if (s == FaultStatus::XRedundant) s = FaultStatus::Undetected;
   }
   for (Strategy strategy : {Strategy::Sot, Strategy::Rmot, Strategy::Mot}) {
-    SymFaultSim sym(nl, faults, strategy);
+    HybridFaultSim sym(nl, faults,
+                       HybridConfig{.strategy = strategy,
+                                    .node_limit = kNoNodeLimit});
     sym.set_initial_status(leftover);
-    const SymFaultSimResult rs = sym.run(sequence);
+    const HybridResult rs = sym.run(sequence);
     std::printf("%-4s: %zu additional faults detected (peak %zu OBDD "
                 "nodes)\n",
                 to_cstring(strategy), rs.detected_count, rs.peak_live_nodes);

@@ -1,7 +1,9 @@
 #include "core/hybrid_sim.h"
 
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "core/sym_true_value.h"
 #include "obs/telemetry.h"
@@ -11,6 +13,17 @@
 namespace motsim {
 
 using bdd::Bdd;
+
+namespace {
+
+/// node_limit * hard_limit_factor, saturated at SIZE_MAX (no cap).
+std::size_t hard_node_limit(const HybridConfig& c) {
+  return c.node_limit > SIZE_MAX / c.hard_limit_factor
+             ? SIZE_MAX
+             : c.node_limit * c.hard_limit_factor;
+}
+
+}  // namespace
 
 HybridFaultSim::HybridFaultSim(const Netlist& netlist,
                                std::vector<Fault> faults, HybridConfig config)
@@ -24,6 +37,21 @@ HybridFaultSim::HybridFaultSim(const Netlist& netlist,
   if (config_.node_limit == 0 || config_.fallback_frames == 0 ||
       config_.hard_limit_factor == 0) {
     throw std::invalid_argument("HybridConfig: limits must be positive");
+  }
+  // run() seeds one state-variable node per flip-flop before the first
+  // frame, outside the frame's overflow recovery. The manager refuses a
+  // node once live + 2 reaches the hard limit, so m flip-flops need a
+  // hard limit of at least m + 2.
+  const std::size_t m = netlist.dff_count();
+  const std::size_t f = config_.hard_limit_factor;
+  if (m != 0 && hard_node_limit(config_) < m + 2) {
+    const std::size_t smallest = (m + 2) / f + ((m + 2) % f != 0 ? 1 : 0);
+    throw std::invalid_argument(
+        "HybridConfig: node_limit " + std::to_string(config_.node_limit) +
+        " cannot hold the " + std::to_string(m) +
+        " state variables (hard limit node_limit * " + std::to_string(f) +
+        "); the smallest node_limit that works is " +
+        std::to_string(smallest));
   }
 }
 
@@ -81,7 +109,7 @@ HybridResult HybridFaultSim::run(
   const Netlist& nl = *netlist_;
 
   bdd::BddConfig bddc = config_.bdd;
-  bddc.hard_node_limit = config_.node_limit * config_.hard_limit_factor;
+  bddc.hard_node_limit = hard_node_limit(config_);
   bdd::BddManager mgr(bddc);
   const StateVars vars(nl.dff_count(), config_.layout);
   SymTrueValueSim sym(nl, mgr, vars);
@@ -547,6 +575,30 @@ HybridResult HybridFaultSim::run(
   result.faultfree_evals_shared = symprop.trim_counters().shared_eq_uses;
   for (const Live& lf : live) {
     if (lf.parked) ++result.faults_terminated_early;
+  }
+
+  // Witnesses for the survivors: D̃ is nonzero, so a satisfying
+  // assignment names a (p, q) pair the test cannot distinguish. Only a
+  // D̃ seeded at power-up and never re-seeded speaks about power-up
+  // states.
+  if (collect_witnesses_ && config_.strategy != Strategy::Sot && !resume_ &&
+      !result.used_fallback && result.checkpoint_syncs == 0) {
+    const bool mot = config_.strategy == Strategy::Mot;
+    result.witnesses.resize(faults_.size());
+    for (const Live& lf : live) {
+      const auto assignment = mgr.pick_one(lf.sym.detect);
+      if (!assignment.has_value()) continue;  // defensive; D̃ != 0 here
+      IndistinguishablePair& pair = result.witnesses[lf.index];
+      pair.fault_free_state.resize(nl.dff_count());
+      pair.faulty_state.resize(nl.dff_count());
+      for (std::size_t i = 0; i < nl.dff_count(); ++i) {
+        // Don't-care bits (-1) may take either value; pick 0.
+        pair.faulty_state[i] =
+            (*assignment)[mot ? vars.y(i) : vars.x(i)] == 1;
+        pair.fault_free_state[i] =
+            mot ? (*assignment)[vars.x(i)] == 1 : pair.faulty_state[i];
+      }
+    }
   }
 
   if (telemetry_ != nullptr) {

@@ -5,6 +5,7 @@
 #include <optional>
 #include <vector>
 
+#include "analysis/sgraph.h"
 #include "analysis/static_xred.h"
 #include "analysis/trim.h"
 #include "bdd/bdd.h"
@@ -21,6 +22,11 @@ namespace obs {
 struct Telemetry;  // obs/telemetry.h
 }
 
+/// HybridConfig::node_limit of a pure symbolic run: no fallback window
+/// ever opens and the hard limit (node_limit * hard_limit_factor,
+/// saturated) disables the BDD manager's cap.
+inline constexpr std::size_t kNoNodeLimit = SIZE_MAX;
+
 /// Configuration of the hybrid fault simulator.
 ///
 /// Compatibility note: new code should prefer the flat SimOptions
@@ -33,13 +39,13 @@ struct HybridConfig {
   VarLayout layout = VarLayout::Interleaved;
   /// Soft space limit checked after each symbolic frame (the paper
   /// uses 30,000 OBDD nodes); exceeding it triggers a three-valued
-  /// window.
+  /// window. kNoNodeLimit runs purely symbolic.
   std::size_t node_limit = 30000;
   /// Length of a three-valued fallback window, in frames.
   std::size_t fallback_frames = 8;
-  /// Mid-frame abort threshold = node_limit * hard_limit_factor; a
-  /// single frame whose intermediate OBDDs blow past this aborts the
-  /// frame and redoes it three-valued.
+  /// Mid-frame abort threshold = node_limit * hard_limit_factor,
+  /// saturated at SIZE_MAX (no cap); a single frame whose intermediate
+  /// OBDDs blow past this aborts the frame and redoes it three-valued.
   std::size_t hard_limit_factor = 8;
   /// Checkpoint-synchronization interval in frames (0 = off, the
   /// historical behaviour). Every `checkpoint_interval` completed
@@ -60,7 +66,7 @@ struct HybridConfig {
   std::size_t checkpoint_interval = 0;
   /// Tuning of the underlying BDD manager (the hard limit field is
   /// overridden from node_limit/hard_limit_factor).
-  bdd::BddConfig bdd;
+  bdd::BddConfig bdd{};
   /// Three-valued engine driving the fallback windows (see
   /// sim3/fault_simulator.h). Both backends are bit-identical by
   /// contract, so this is a pure performance knob; it is excluded from
@@ -84,6 +90,18 @@ struct HybridConfig {
   /// records it (opt_sgraph) because the parallel shard partition
   /// folds horizons into the cluster order. On by default.
   bool sgraph = true;
+};
+
+/// A concrete certificate of UNdetectability under MOT (Lemma 1's
+/// counterexample direction): a pair of initial states — p for the
+/// fault-free machine, q for the faulty machine — whose output
+/// sequences under the simulated test are identical, so no tester can
+/// tell them apart. Directly checkable with the concrete simulator
+/// (the tests do exactly that). Under rMOT, D̃ ranges over the faulty
+/// initial state only, so p is reported equal to q by convention.
+struct IndistinguishablePair {
+  std::vector<bool> fault_free_state;  ///< p
+  std::vector<bool> faulty_state;      ///< q
 };
 
 /// Result of a hybrid run.
@@ -114,6 +132,11 @@ struct HybridResult {
   /// variables restarts the clock, so a fault may re-downgrade after
   /// every fallback window or checkpoint sync).
   std::uint64_t mot_downgrades = 0;
+  /// Indistinguishability witnesses (see set_collect_witnesses): a
+  /// satisfying pair of D̃ for every fault left undetected, indexed
+  /// like `status`; detected and skipped faults carry empty vectors.
+  /// Empty unless requested and available.
+  std::vector<IndistinguishablePair> witnesses;
 };
 
 /// Hybrid fault simulator (paper Sections I and IV.A, following [8]):
@@ -126,6 +149,14 @@ struct HybridResult {
 /// detection function D̃ restarts at constant 1. All claims made in
 /// fallback and after resumption remain sound — the represented state
 /// sets only ever grow.
+///
+/// The one symbolic frame loop: a pure symbolic (exact) run is this
+/// engine with `node_limit = kNoNodeLimit`.
+///
+/// The constructor throws std::invalid_argument when the hard limit
+/// cannot hold the one state-variable node per flip-flop that symbolic
+/// mode starts from; the message names the smallest node_limit that
+/// works.
 class HybridFaultSim {
  public:
   HybridFaultSim(const Netlist& netlist, std::vector<Fault> faults,
@@ -186,6 +217,16 @@ class HybridFaultSim {
   /// resumed run's result is bit-identical to the uninterrupted run.
   void set_resume(ChunkCheckpoint checkpoint);
 
+  /// Requests indistinguishability witnesses for the faults left
+  /// undetected (rMOT/MOT only; D̃ is not maintained under SOT). They
+  /// are reported only when the surviving D̃ covers the whole
+  /// sequence — no fallback window, no checkpoint sync and no resume —
+  /// because a re-seeded D̃ names states at the re-seed, not at
+  /// power-up. Otherwise HybridResult::witnesses stays empty.
+  void set_collect_witnesses(bool collect) noexcept {
+    collect_witnesses_ = collect;
+  }
+
   [[nodiscard]] HybridResult run(
       const std::vector<std::vector<Val3>>& sequence);
 
@@ -201,6 +242,7 @@ class HybridFaultSim {
   std::vector<ConstVal> tied_;
   std::optional<TrimPlan> trim_plan_;
   std::optional<SgraphPlan> sgraph_plan_;
+  bool collect_witnesses_ = false;
 };
 
 }  // namespace motsim

@@ -1,7 +1,8 @@
 #include "core/sym_fault_sim.h"
 
 #include <algorithm>
-#include <stdexcept>
+
+#include "analysis/cone.h"
 
 namespace motsim {
 
@@ -374,7 +375,6 @@ bool SymFaultPropagator::step(const Fault& fault, Strategy strategy,
                      : -1;
   bool detected = false;
   if (dv >= 0) {
-    ++sgraph_counters_.downgraded_frames;
     if (dv == 1) {
       fs.detect = mgr_->constant(false);
       detected = true;
@@ -404,326 +404,6 @@ bool SymFaultPropagator::step(const Fault& fault, Strategy strategy,
   latch_diffs(fault, sv, ctx, fs.state_diff);
   release_scratch();
   return false;
-}
-
-bool SymFaultPropagator::step_multi(const Fault& fault, MultiFaultState& ms,
-                                    SymFrameContext& ctx,
-                                    std::uint32_t frame, bool downgraded) {
-  if (quiescent(fault, ms.state_diff, ctx.good_values())) {
-    // Same argument as in step(): only MOT's accumulation survives a
-    // quiescent frame, and it collapses to the shared frame product.
-    ++trim_counters_.frames_skipped;
-    if (!ms.mot_done) {
-      ++trim_counters_.shared_eq_uses;
-      ms.mot_detect &= ctx.frame_eq_product(*netlist_, *mgr_, x2y_);
-      if (ms.mot_detect.is_zero()) {
-        ms.mot_done = true;
-        ms.mot_frame = frame;
-        ms.mot_detect = Bdd();
-      }
-    }
-    return ms.all_done();
-  }
-
-  const Bdd sv = mgr_->constant(fault.stuck_value);
-  propagate(fault, sv, ms.state_diff, ctx.good_values());
-
-  if (!ms.sot_done && detect_sot(ctx.good_values())) {
-    ms.sot_done = true;
-    ms.sot_frame = frame;
-  }
-  // Downgraded rMOT/MOT bookkeeping; see step() for the argument.
-  const int dv = downgraded && (!ms.rmot_done || !ms.mot_done)
-                     ? scan_const_divergence(ctx.good_values())
-                     : -1;
-  if (dv >= 0) {
-    ++sgraph_counters_.downgraded_frames;
-    if (!ms.rmot_done && dv == 1) {
-      ms.rmot_done = true;
-      ms.rmot_frame = frame;
-      ms.rmot_detect = Bdd();
-    }
-    if (!ms.mot_done) {
-      if (dv == 1) {
-        ms.mot_done = true;
-        ms.mot_frame = frame;
-        ms.mot_detect = Bdd();
-      } else {
-        ms.mot_detect &= ctx.frame_eq_product(*netlist_, *mgr_, x2y_);
-        if (ms.mot_detect.is_zero()) {
-          ms.mot_done = true;
-          ms.mot_frame = frame;
-          ms.mot_detect = Bdd();
-        }
-      }
-    }
-  } else {
-    if (!ms.rmot_done && update_rmot(ms.rmot_detect, ctx.good_values())) {
-      ms.rmot_done = true;
-      ms.rmot_frame = frame;
-      ms.rmot_detect = Bdd();
-    }
-    if (!ms.mot_done && update_mot(ms.mot_detect, ctx)) {
-      ms.mot_done = true;
-      ms.mot_frame = frame;
-      ms.mot_detect = Bdd();
-    }
-  }
-
-  if (ms.all_done()) {
-    queue_.clear();
-    release_scratch();
-    return true;
-  }
-  latch_diffs(fault, sv, ctx, ms.state_diff);
-  release_scratch();
-  return false;
-}
-
-// ---------------------------------------------------------------------------
-// SymFaultSim (pure symbolic sequence driver)
-// ---------------------------------------------------------------------------
-
-SymFaultSim::SymFaultSim(const Netlist& netlist, std::vector<Fault> faults,
-                         Strategy strategy, const bdd::BddConfig& bdd_config,
-                         VarLayout layout)
-    : netlist_(&netlist),
-      faults_(std::move(faults)),
-      strategy_(strategy),
-      initial_status_(faults_.size(), FaultStatus::Undetected),
-      bdd_config_(bdd_config),
-      layout_(layout) {
-  if (!netlist.finalized()) {
-    throw std::logic_error("SymFaultSim requires a finalized netlist");
-  }
-}
-
-void SymFaultSim::set_initial_status(std::vector<FaultStatus> status) {
-  if (status.size() != faults_.size()) {
-    throw std::invalid_argument("set_initial_status: wrong size");
-  }
-  initial_status_ = std::move(status);
-}
-
-SymFaultSimResult SymFaultSim::run(
-    const std::vector<std::vector<Val3>>& sequence) {
-  const Netlist& nl = *netlist_;
-
-  bdd::BddManager mgr(bdd_config_);
-  const StateVars vars(nl.dff_count(), layout_);
-  SymTrueValueSim good(nl, mgr, vars);
-  SymFaultPropagator prop(nl, mgr, vars);
-  prop.set_trim(trim_);
-
-  // Static activation horizons for SOT/rMOT parking: once past
-  // dead_from with no stored divergence, the fault can never be
-  // excited again, so its remaining frames are pure no-ops. MOT never
-  // parks (D~ keeps accumulating equality terms). BDD handles of
-  // parked faults stay alive so gc pressure matches the untrimmed run.
-  TrimPlan plan;
-  if (trim_) plan = build_trim_plan(nl, faults_);
-
-  // S-graph observation horizons: frames at which the per-fault
-  // rMOT/MOT updates may run in downgraded (SOT-equivalent) form.
-  // Vars are seeded once at frame 0 here, so the epoch is 0.
-  SgraphPlan splan;
-  if (sgraph_) splan = build_sgraph_plan(nl, faults_);
-
-  SymFaultSimResult result;
-  result.status = initial_status_;
-  result.detect_frame.assign(faults_.size(), 0);
-  if (collect_witnesses_) result.witnesses.resize(faults_.size());
-
-  struct Live {
-    std::size_t index;
-    SymFaultState fs;
-    bool parked = false;
-    bool downgraded = false;
-  };
-  std::vector<Live> live;
-  for (std::size_t i = 0; i < faults_.size(); ++i) {
-    if (initial_status_[i] == FaultStatus::Undetected) {
-      live.push_back(Live{i, SymFaultState{mgr.one(), {}}, false, false});
-    }
-  }
-
-  const FaultStatus det = detected_status(strategy_);
-  for (std::size_t t = 0; t < sequence.size() && !live.empty(); ++t) {
-    good.step(sequence[t]);
-    SymFrameContext ctx(good.values(), good.state(), nl.output_count());
-
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      Live& lf = live[i];
-      if (trim_ && strategy_ != Strategy::Mot && !lf.parked &&
-          plan.dead_from[lf.index] != 0 &&
-          t + 1 >= plan.dead_from[lf.index] && lf.fs.state_diff.empty()) {
-        lf.parked = true;
-      }
-      bool detected = false;
-      if (lf.parked) {
-        ++result.frames_skipped;
-      } else {
-        if (sgraph_ && strategy_ != Strategy::Sot && !lf.downgraded &&
-            splan.horizon[lf.index] != kInfDepth &&
-            t >= splan.horizon[lf.index]) {
-          lf.downgraded = true;
-          ++result.mot_downgrades;
-        }
-        detected = prop.step(faults_[lf.index], strategy_, lf.fs, ctx,
-                             lf.downgraded);
-      }
-      if (detected) {
-        result.status[lf.index] = det;
-        result.detect_frame[lf.index] = static_cast<std::uint32_t>(t + 1);
-        ++result.detected_count;
-      } else {
-        if (keep != i) live[keep] = std::move(live[i]);
-        ++keep;
-      }
-    }
-    live.resize(keep);
-    mgr.gc();
-    result.peak_live_nodes =
-        std::max(result.peak_live_nodes, mgr.live_node_count());
-  }
-
-  result.frames_skipped += prop.trim_counters().frames_skipped;
-  result.faultfree_evals_shared = prop.trim_counters().shared_eq_uses;
-  for (const Live& lf : live) {
-    if (lf.parked) ++result.faults_terminated_early;
-  }
-
-  // Witnesses for the survivors: D~ is nonzero, so a satisfying
-  // assignment names a (p, q) pair the test cannot distinguish.
-  if (collect_witnesses_ && strategy_ != Strategy::Sot) {
-    for (const Live& lf : live) {
-      const auto assignment = mgr.pick_one(lf.fs.detect);
-      if (!assignment.has_value()) continue;  // defensive; D~ != 0 here
-      IndistinguishablePair pair;
-      pair.fault_free_state.resize(nl.dff_count());
-      pair.faulty_state.resize(nl.dff_count());
-      for (std::size_t i = 0; i < nl.dff_count(); ++i) {
-        const auto xv = (*assignment)[vars.x(i)];
-        const auto yv = strategy_ == Strategy::Mot ? (*assignment)[vars.y(i)]
-                                                   : xv;
-        // Don't-care bits (-1) may take either value; pick 0.
-        pair.faulty_state[i] = strategy_ == Strategy::Mot ? yv == 1 : xv == 1;
-        pair.fault_free_state[i] = xv == 1;
-        if (strategy_ == Strategy::Rmot) {
-          // rMOT's D~ ranges over the faulty initial state only; the
-          // fault-free side is reported equal to q by convention.
-          pair.fault_free_state[i] = pair.faulty_state[i];
-        }
-      }
-      result.witnesses[lf.index] = std::move(pair);
-    }
-  }
-
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// run_all_strategies (single-pass multi-strategy driver)
-// ---------------------------------------------------------------------------
-
-MultiStrategyResult run_all_strategies(
-    const Netlist& nl, const std::vector<Fault>& faults,
-    const std::vector<std::vector<Val3>>& sequence,
-    const bdd::BddConfig& bdd_config, VarLayout layout, bool trim,
-    bool sgraph) {
-  if (!nl.finalized()) {
-    throw std::logic_error("run_all_strategies requires a finalized netlist");
-  }
-
-  bdd::BddManager mgr(bdd_config);
-  const StateVars vars(nl.dff_count(), layout);
-  SymTrueValueSim good(nl, mgr, vars);
-  SymFaultPropagator prop(nl, mgr, vars);
-  prop.set_trim(trim);
-
-  SgraphPlan splan;
-  if (sgraph) splan = build_sgraph_plan(nl, faults);
-  std::uint64_t mot_downgrades = 0;
-
-  MultiStrategyResult result;
-  for (SymFaultSimResult* r : {&result.sot, &result.rmot, &result.mot}) {
-    r->status.assign(faults.size(), FaultStatus::Undetected);
-    r->detect_frame.assign(faults.size(), 0);
-  }
-
-  struct Live {
-    std::size_t index;
-    SymFaultPropagator::MultiFaultState ms;
-    bool downgraded = false;
-  };
-  std::vector<Live> live;
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    Live lf;
-    lf.index = i;
-    lf.ms.rmot_detect = mgr.one();
-    lf.ms.mot_detect = mgr.one();
-    live.push_back(std::move(lf));
-  }
-
-  auto record = [&](const Live& lf) {
-    const std::size_t i = lf.index;
-    if (lf.ms.sot_done && result.sot.detect_frame[i] == 0) {
-      result.sot.status[i] = FaultStatus::DetectedSot;
-      result.sot.detect_frame[i] = lf.ms.sot_frame;
-      ++result.sot.detected_count;
-    }
-    if (lf.ms.rmot_done && result.rmot.detect_frame[i] == 0) {
-      result.rmot.status[i] = FaultStatus::DetectedRmot;
-      result.rmot.detect_frame[i] = lf.ms.rmot_frame;
-      ++result.rmot.detected_count;
-    }
-    if (lf.ms.mot_done && result.mot.detect_frame[i] == 0) {
-      result.mot.status[i] = FaultStatus::DetectedMot;
-      result.mot.detect_frame[i] = lf.ms.mot_frame;
-      ++result.mot.detected_count;
-    }
-  };
-
-  for (std::size_t t = 0; t < sequence.size() && !live.empty(); ++t) {
-    good.step(sequence[t]);
-    SymFrameContext ctx(good.values(), good.state(), nl.output_count());
-
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      Live& lf = live[i];
-      if (sgraph && !lf.downgraded &&
-          splan.horizon[lf.index] != kInfDepth &&
-          t >= splan.horizon[lf.index]) {
-        lf.downgraded = true;
-        ++mot_downgrades;
-      }
-      const bool done = prop.step_multi(
-          faults[lf.index], lf.ms, ctx,
-          static_cast<std::uint32_t>(t + 1), lf.downgraded);
-      record(live[i]);
-      if (!done) {
-        if (keep != i) live[keep] = std::move(live[i]);
-        ++keep;
-      }
-    }
-    live.resize(keep);
-    mgr.gc();
-    const std::size_t peak = mgr.live_node_count();
-    result.sot.peak_live_nodes = std::max(result.sot.peak_live_nodes, peak);
-    result.rmot.peak_live_nodes = result.sot.peak_live_nodes;
-    result.mot.peak_live_nodes = result.sot.peak_live_nodes;
-  }
-
-  // One shared pass, so the trimming telemetry is mirrored like the
-  // peak above.
-  for (SymFaultSimResult* r : {&result.sot, &result.rmot, &result.mot}) {
-    r->frames_skipped = prop.trim_counters().frames_skipped;
-    r->faultfree_evals_shared = prop.trim_counters().shared_eq_uses;
-    r->mot_downgrades = mot_downgrades;
-  }
-
-  return result;
 }
 
 }  // namespace motsim

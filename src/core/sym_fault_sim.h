@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "analysis/sgraph.h"
-#include "analysis/trim.h"
 #include "bdd/bdd.h"
 #include "circuit/levelize.h"
 #include "circuit/netlist.h"
@@ -107,8 +105,8 @@ class SymFrameContext {
 /// Mirrors the three-valued propagator but over OBDD values: the fault
 /// is injected, divergence is propagated in level order through the
 /// cone of influence, and detection is decided per the configured
-/// strategy. The same kernel serves the pure symbolic simulator and
-/// the symbolic phases of the hybrid simulator.
+/// strategy. It is the per-fault kernel of HybridFaultSim's symbolic
+/// frames.
 class SymFaultPropagator {
  public:
   SymFaultPropagator(const Netlist& netlist, bdd::BddManager& mgr,
@@ -134,29 +132,6 @@ class SymFaultPropagator {
 
   [[nodiscard]] bdd::BddManager& manager() const noexcept { return *mgr_; }
 
-  /// Per-fault bookkeeping when all three strategies run in one pass.
-  struct MultiFaultState {
-    bool sot_done = false, rmot_done = false, mot_done = false;
-    std::uint32_t sot_frame = 0, rmot_frame = 0, mot_frame = 0;
-    bdd::Bdd rmot_detect;  ///< D~(x,x)
-    bdd::Bdd mot_detect;   ///< D~(x,y)
-    std::vector<std::pair<std::uint32_t, bdd::Bdd>> state_diff;
-
-    [[nodiscard]] bool all_done() const noexcept {
-      return sot_done && rmot_done && mot_done;
-    }
-  };
-
-  /// Single-pass step under ALL strategies: the faulty machine's
-  /// evolution is strategy-independent, so seeding/propagation/latch
-  /// are shared and only the detection bookkeeping triples. `frame` is
-  /// the 1-based frame number recorded on detections. Returns true
-  /// when every strategy has detected the fault (caller drops it).
-  /// `downgraded` as in step() (applies to the rMOT/MOT bookkeeping).
-  bool step_multi(const Fault& fault, MultiFaultState& ms,
-                  SymFrameContext& ctx, std::uint32_t frame,
-                  bool downgraded = false);
-
   /// Execution-redundancy counters of the trimming pass.
   struct TrimCounters {
     /// Fault-frames skipped because the fault was provably quiescent.
@@ -176,17 +151,6 @@ class SymFaultPropagator {
   void set_trim(bool trim) noexcept { trim_ = trim; }
   [[nodiscard]] const TrimCounters& trim_counters() const noexcept {
     return trim_counters_;
-  }
-
-  /// S-graph downgrade counters, separate from the trim counters so
-  /// each pass's ablation can assert the other reports zero work.
-  struct SgraphCounters {
-    /// Fault-frames whose rMOT/MOT update ran in downgraded
-    /// (SOT-equivalent) form.
-    std::uint64_t downgraded_frames = 0;
-  };
-  [[nodiscard]] const SgraphCounters& sgraph_counters() const noexcept {
-    return sgraph_counters_;
   }
 
  private:
@@ -247,122 +211,10 @@ class SymFaultPropagator {
   std::vector<std::pair<std::uint32_t, NodeIndex>> latch_hits_;
   bool trim_ = false;
   TrimCounters trim_counters_;
-  SgraphCounters sgraph_counters_;
-};
-
-/// A concrete certificate of UNdetectability under MOT (Lemma 1's
-/// counterexample direction): a pair of initial states — p for the
-/// fault-free machine, q for the faulty machine — whose output
-/// sequences under the simulated test are identical, so no tester can
-/// tell them apart. Directly checkable with the concrete simulator
-/// (the tests do exactly that).
-struct IndistinguishablePair {
-  std::vector<bool> fault_free_state;  ///< p
-  std::vector<bool> faulty_state;      ///< q
-};
-
-/// Result of a pure symbolic fault simulation.
-struct SymFaultSimResult {
-  std::vector<FaultStatus> status;
-  std::vector<std::uint32_t> detect_frame;  ///< 1-based; 0 = never
-  std::size_t detected_count = 0;
-  std::size_t peak_live_nodes = 0;
-  /// Trimming telemetry (all zero when trimming is off): fault-frames
-  /// whose propagation was skipped, faults parked once their static
-  /// activation horizon passed, and MOT fault-frames served by the
-  /// shared per-frame fault-free equality product.
-  std::uint64_t frames_skipped = 0;
-  std::uint64_t faults_terminated_early = 0;
-  std::uint64_t faultfree_evals_shared = 0;
-  /// S-graph telemetry (zero when the pass is off): faults downgraded
-  /// from MOT/rMOT to SOT-equivalent handling once the frame index
-  /// passed their observation horizon.
-  std::uint64_t mot_downgrades = 0;
-  /// For every fault left undetected under rMOT/MOT (when
-  /// SymFaultSim::set_collect_witnesses(true) was called): a satisfying
-  /// pair of D~ — the indistinguishability certificate. Indexed like
-  /// `status`; detected/skipped faults carry empty vectors. Under rMOT
-  /// the pair shares one state variable set, so p is the faulty
-  /// machine's state and fault_free_state is meaningless there (set
-  /// equal to q).
-  std::vector<IndistinguishablePair> witnesses;
-};
-
-/// Pure symbolic fault simulator (no three-valued fallback): exact
-/// with respect to the chosen strategy. Used directly on circuits
-/// whose OBDDs stay small, and by the correctness test-suite; large
-/// circuits should go through HybridFaultSim.
-///
-/// Throws bdd::BddOverflow if the configured hard node limit trips.
-class SymFaultSim {
- public:
-  SymFaultSim(const Netlist& netlist, std::vector<Fault> faults,
-              Strategy strategy, const bdd::BddConfig& bdd_config = {},
-              VarLayout layout = VarLayout::Interleaved);
-
-  /// Pre-classifies faults; non-Undetected entries are not simulated.
-  void set_initial_status(std::vector<FaultStatus> status);
-
-  /// Requests indistinguishability witnesses for faults that remain
-  /// undetected (rMOT/MOT only; D~ is not maintained under SOT).
-  void set_collect_witnesses(bool collect) { collect_witnesses_ = collect; }
-
-  /// Enables the execution-redundancy trimming pass (docs/ANALYSIS.md):
-  /// dynamic quiescent-frame skipping plus static activation parking
-  /// under SOT/rMOT. Verdicts, detect frames and witnesses are
-  /// bit-identical with trimming on or off. Off by default here so the
-  /// correctness suite can diff both paths; the production engines
-  /// (HybridFaultSim / ParallelSymSim) default it on.
-  void set_trim(bool trim) { trim_ = trim; }
-
-  /// Enables the s-graph synchronization-depth pass (docs/ANALYSIS.md
-  /// pass 6): faults whose observation cone is past its horizon run
-  /// the downgraded rMOT/MOT updates. Verdicts, detect frames and
-  /// witnesses are bit-identical with the pass on or off. Off by
-  /// default here (like trimming) so the correctness suite can diff
-  /// both paths; the production engines default it on.
-  void set_sgraph(bool sgraph) { sgraph_ = sgraph; }
-
-  [[nodiscard]] SymFaultSimResult run(
-      const std::vector<std::vector<Val3>>& sequence);
-
- private:
-  const Netlist* netlist_;
-  std::vector<Fault> faults_;
-  Strategy strategy_;
-  std::vector<FaultStatus> initial_status_;
-  bdd::BddConfig bdd_config_;
-  VarLayout layout_;
-  bool collect_witnesses_ = false;
-  bool trim_ = false;
-  bool sgraph_ = false;
 };
 
 /// Status value corresponding to a detection under `s`.
 [[nodiscard]] FaultStatus detected_status(Strategy s) noexcept;
-
-/// Results of one single-pass run under all three strategies; each
-/// entry equals the corresponding dedicated SymFaultSim run.
-struct MultiStrategyResult {
-  SymFaultSimResult sot;
-  SymFaultSimResult rmot;
-  SymFaultSimResult mot;
-};
-
-/// Pure symbolic fault simulation of all three observation strategies
-/// in ONE pass — ~2-3x cheaper than three dedicated runs because the
-/// event-driven symbolic propagation (the dominating cost) is shared.
-/// A fault stays live until every strategy has classified it or the
-/// sequence ends. `trim` enables quiescent-frame skipping (never
-/// parking — MOT must keep accumulating); `sgraph` enables the
-/// observation-horizon downgrade; results are bit-identical either
-/// way.
-[[nodiscard]] MultiStrategyResult run_all_strategies(
-    const Netlist& netlist, const std::vector<Fault>& faults,
-    const std::vector<std::vector<Val3>>& sequence,
-    const bdd::BddConfig& bdd_config = {},
-    VarLayout layout = VarLayout::Interleaved, bool trim = false,
-    bool sgraph = false);
 
 }  // namespace motsim
 

@@ -1,16 +1,17 @@
-// Hybrid fault simulation: agreement with the pure symbolic simulator
-// when space is ample, soundness under space pressure (every claim it
+// Hybrid fault simulation: agreement with the pure symbolic run
+// (node_limit = kNoNodeLimit) when space is ample, soundness under space pressure (every claim it
 // makes still holds per the brute-force definitions), and fallback
 // bookkeeping.
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "bench_data/registry.h"
 #include "bench_data/s27.h"
 #include "core/hybrid_sim.h"
 #include "core/options.h"
 #include "core/pipeline.h"
-#include "core/sym_fault_sim.h"
 #include "faults/collapse.h"
 #include "obs/telemetry.h"
 #include "reference.h"
@@ -32,6 +33,10 @@ HybridConfig ample(Strategy s) {
   return cfg;
 }
 
+HybridConfig pure(Strategy s) {
+  return HybridConfig{.strategy = s, .node_limit = kNoNodeLimit};
+}
+
 HybridConfig tight(Strategy s, std::size_t limit, std::size_t window = 2) {
   HybridConfig cfg;
   cfg.strategy = s;
@@ -50,8 +55,9 @@ TEST_P(HybridVsPure, AmpleSpaceMatchesPureSymbolic) {
   const CollapsedFaultList c(nl);
 
   for (Strategy s : {Strategy::Sot, Strategy::Rmot, Strategy::Mot}) {
-    SymFaultSim pure(nl, c.faults(), s);
-    const auto rp = pure.run(seq);
+    HybridFaultSim unlimited(nl, c.faults(), pure(s));
+    const auto rp = unlimited.run(seq);
+    EXPECT_FALSE(rp.used_fallback);
 
     HybridFaultSim hybrid(nl, c.faults(), ample(s));
     const auto rh = hybrid.run(seq);
@@ -172,6 +178,112 @@ TEST(Hybrid, InvalidConfigRejected) {
   cfg = HybridConfig{};
   cfg.fallback_frames = 0;
   EXPECT_THROW(HybridFaultSim(nl, c.faults(), cfg), std::invalid_argument);
+}
+
+TEST(Hybrid, HardLimitSaturatesInsteadOfOverflowing) {
+  // 2^61 x 8 wraps to 0 in 64-bit arithmetic, which used to make the
+  // very first node creation overflow. Saturated, it means "no cap",
+  // exactly like kNoNodeLimit.
+  const Netlist nl = make_s27();
+  const CollapsedFaultList c(nl);
+  Rng rng(64);
+  const TestSequence seq = random_sequence(nl, 64, rng);
+  for (Strategy s : {Strategy::Sot, Strategy::Rmot, Strategy::Mot}) {
+    HybridConfig huge = pure(s);
+    huge.node_limit = std::size_t{1} << 61;
+    huge.hard_limit_factor = 8;
+    HybridFaultSim a(nl, c.faults(), huge);
+    HybridFaultSim b(nl, c.faults(), pure(s));
+    const HybridResult ra = a.run(seq);
+    const HybridResult rb = b.run(seq);
+    EXPECT_FALSE(ra.used_fallback) << to_cstring(s);
+    EXPECT_EQ(ra.status, rb.status) << to_cstring(s);
+    EXPECT_EQ(ra.detect_frame, rb.detect_frame) << to_cstring(s);
+    EXPECT_EQ(ra.symbolic_frames, rb.symbolic_frames) << to_cstring(s);
+  }
+}
+
+TEST(Hybrid, HardLimitBelowTheStateSeedIsRejected) {
+  // s298 has 14 flip-flops. run() seeds 14 state-variable nodes before
+  // the first frame, and the manager refuses a node once live + 2
+  // reaches the hard limit: a hard limit of 16 is the smallest that
+  // works. Below it the constructor names the smallest node_limit;
+  // at it the run completes (falling back as often as it must).
+  const Netlist nl = make_benchmark("s298");
+  ASSERT_EQ(nl.dff_count(), 14u);
+  const CollapsedFaultList c(nl);
+  Rng rng(16);
+  const TestSequence seq = random_sequence(nl, 16, rng);
+  struct Cell {
+    std::size_t factor, smallest;
+  };
+  for (const Cell cell : {Cell{8, 2}, Cell{2, 8}, Cell{1, 16}}) {
+    HybridConfig cfg = tight(Strategy::Mot, cell.smallest - 1);
+    cfg.hard_limit_factor = cell.factor;
+    try {
+      HybridFaultSim rejected(nl, c.faults(), cfg);
+      ADD_FAILURE() << "node_limit " << cfg.node_limit << " x "
+                    << cell.factor << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "smallest node_limit that works is " +
+                    std::to_string(cell.smallest)),
+                std::string::npos)
+          << e.what();
+    }
+    cfg.node_limit = cell.smallest;
+    HybridFaultSim accepted(nl, c.faults(), cfg);
+    const HybridResult r = accepted.run(seq);
+    EXPECT_GT(r.symbolic_frames + r.three_valued_frames, 0u)
+        << "factor " << cell.factor;
+  }
+}
+
+TEST(Hybrid, CombinationalCircuitNeedsNoStateSeed) {
+  // No flip-flops, no state variables: the smallest limits work.
+  Netlist nl("comb");
+  const NodeIndex a = nl.add_input("a");
+  const NodeIndex b = nl.add_input("b");
+  nl.mark_output(nl.add_gate(GateType::And, {a, b}, "g"));
+  nl.finalize();
+  const CollapsedFaultList c(nl);
+  HybridConfig cfg = tight(Strategy::Mot, 1);
+  cfg.hard_limit_factor = 1;
+  HybridFaultSim sim(nl, c.faults(), cfg);
+  const HybridResult r = sim.run(sequence_from_strings({"11", "01", "10"}));
+  EXPECT_EQ(r.detected_count, c.size());
+}
+
+TEST(Hybrid, WitnessesOnlyWhenDTildeCoversTheWholeSequence) {
+  // A fallback window or a checkpoint sync re-seeds D~, which then
+  // names states at the re-seed rather than at power-up: no witnesses.
+  const Netlist nl = make_benchmark("s208.1");
+  const CollapsedFaultList c(nl);
+  Rng rng(77);
+  const TestSequence seq = random_sequence(nl, 40, rng);
+
+  HybridFaultSim windowed(nl, c.faults(), tight(Strategy::Mot, 400, 4));
+  windowed.set_collect_witnesses(true);
+  const HybridResult rw = windowed.run(seq);
+  ASSERT_TRUE(rw.used_fallback);
+  ASSERT_LT(rw.detected_count, c.size());
+  EXPECT_TRUE(rw.witnesses.empty());
+
+  HybridConfig synced = pure(Strategy::Mot);
+  synced.checkpoint_interval = 8;
+  HybridFaultSim checkpointed(nl, c.faults(), synced);
+  checkpointed.set_collect_witnesses(true);
+  const HybridResult rc = checkpointed.run(seq);
+  ASSERT_GT(rc.checkpoint_syncs, 0u);
+  ASSERT_LT(rc.detected_count, c.size());
+  EXPECT_TRUE(rc.witnesses.empty());
+
+  HybridFaultSim whole(nl, c.faults(), pure(Strategy::Mot));
+  whole.set_collect_witnesses(true);
+  const HybridResult r = whole.run(seq);
+  ASSERT_FALSE(r.used_fallback);
+  ASSERT_LT(r.detected_count, c.size());
+  EXPECT_EQ(r.witnesses.size(), c.size());
 }
 
 TEST(Hybrid, InitialStatusSkips) {

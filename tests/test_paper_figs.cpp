@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/sym_fault_sim.h"
+#include "core/hybrid_sim.h"
 #include "core/sym_true_value.h"
 #include "reference.h"
 #include "tpg/sequences.h"
@@ -21,6 +21,11 @@ namespace {
 using testing::ref_mot_detectable;
 using testing::ref_rmot_detectable;
 using testing::ref_sot_detectable;
+
+/// The pure symbolic engine: the hybrid loop with no node limit.
+HybridConfig pure(Strategy s) {
+  return HybridConfig{.strategy = s, .node_limit = kNoNodeLimit};
+}
 
 /// The Fig. 3 machine: one flip-flop s, inputs i1 and i2,
 ///   output   o = XNOR(i2, s)  (built from AND/OR/NOT gates)
@@ -102,7 +107,7 @@ TEST(PaperFig3, SotAndRmotMissTheFaultMotDetectsIt) {
   for (auto [strategy, expected] :
        {std::pair{Strategy::Sot, false}, {Strategy::Rmot, false},
         {Strategy::Mot, true}}) {
-    SymFaultSim sim(f.nl, faults, strategy);
+    HybridFaultSim sim(f.nl, faults, pure(strategy));
     const auto r = sim.run(kFig3Sequence);
     EXPECT_EQ(r.detected_count == 1, expected) << to_cstring(strategy);
   }
@@ -113,7 +118,7 @@ TEST(PaperFig3, DetectionFunctionVanishesInFrameTwo) {
   // [x == y] kills it — exactly the algebra in the paper.
   Fig3 f;
   const std::vector<Fault> faults{f.fault};
-  SymFaultSim sim(f.nl, faults, Strategy::Mot);
+  HybridFaultSim sim(f.nl, faults, pure(Strategy::Mot));
   const auto r = sim.run(kFig3Sequence);
   EXPECT_EQ(r.detect_frame[0], 2u);
 }
@@ -173,7 +178,7 @@ TEST(PaperFig2, UndetectableDespiteInitialization) {
 
   const std::vector<Fault> faults{f.fault};
   for (Strategy s : {Strategy::Sot, Strategy::Rmot, Strategy::Mot}) {
-    SymFaultSim sim(f.nl, faults, s);
+    HybridFaultSim sim(f.nl, faults, pure(s));
     EXPECT_EQ(sim.run(kFig2Sequence).detected_count, 0u) << to_cstring(s);
   }
 }
@@ -196,10 +201,10 @@ TEST(PaperFig1, SotBlindMotSees) {
   EXPECT_FALSE(ref_sot_detectable(f.nl, f.fault, seq));
 
   const std::vector<Fault> faults{f.fault};
-  SymFaultSim sot(f.nl, faults, Strategy::Sot);
+  HybridFaultSim sot(f.nl, faults, pure(Strategy::Sot));
   EXPECT_EQ(sot.run(seq).detected_count, 0u);
 
-  SymFaultSim mot(f.nl, faults, Strategy::Mot);
+  HybridFaultSim mot(f.nl, faults, pure(Strategy::Mot));
   EXPECT_EQ(mot.run(kFig3Sequence).detected_count, 1u);
 }
 

@@ -506,6 +506,21 @@ TEST(Service, SemanticErrorsComeBackTyped) {
     ASSERT_TRUE(std::holds_alternative<ErrorResponse>(resp));
     EXPECT_EQ(std::get<ErrorResponse>(resp).code, ErrorCode::BadRequest);
   }
+  // A node limit whose hard limit cannot hold s298's 14 state
+  // variables: an error frame naming the smallest limit, not an abort.
+  {
+    FaultSimRequest req;
+    req.id = 34;
+    req.circuit = CircuitRef{CircuitRef::Kind::Roster, "s298"};
+    req.vectors = 16;
+    req.options.node_limit = 1;
+    const Response resp = service.handle(Request{req});
+    ASSERT_TRUE(std::holds_alternative<ErrorResponse>(resp));
+    EXPECT_NE(std::get<ErrorResponse>(resp).message.find(
+                  "the smallest node_limit that works is 2"),
+              std::string::npos)
+        << std::get<ErrorResponse>(resp).message;
+  }
   // Mis-sized tester response.
   {
     TestEvalRequest req;

@@ -24,7 +24,6 @@
 #include "circuit/validate.h"
 #include "core/hybrid_sim.h"
 #include "core/parallel_sym_sim.h"
-#include "core/sym_fault_sim.h"
 #include "core/sym_true_value.h"
 #include "faults/collapse.h"
 #include "faults/fault_list.h"
@@ -465,19 +464,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SgraphDepth,
 // Bit-identity: sgraph on vs off, every engine and strategy
 // ---------------------------------------------------------------------------
 
-void expect_same_result(const SymFaultSimResult& a, const SymFaultSimResult& b,
-                        const Netlist& nl, const std::vector<Fault>& faults,
-                        const char* what) {
-  ASSERT_EQ(a.status.size(), b.status.size()) << what;
-  EXPECT_EQ(a.detected_count, b.detected_count) << what;
-  for (std::size_t i = 0; i < a.status.size(); ++i) {
-    EXPECT_EQ(a.status[i], b.status[i])
-        << what << " " << fault_name(nl, faults[i]);
-    EXPECT_EQ(a.detect_frame[i], b.detect_frame[i])
-        << what << " " << fault_name(nl, faults[i]);
-  }
-}
-
 void expect_same_result(const HybridResult& a, const HybridResult& b,
                         const Netlist& nl, const std::vector<Fault>& faults,
                         const char* what) {
@@ -493,6 +479,12 @@ void expect_same_result(const HybridResult& a, const HybridResult& b,
 
 class SgraphIdentity : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// The pure symbolic engine (no node limit) with the pass on or off.
+HybridConfig pure(Strategy s, bool sgraph) {
+  return HybridConfig{
+      .strategy = s, .node_limit = kNoNodeLimit, .sgraph = sgraph};
+}
+
 TEST_P(SgraphIdentity, PureSymbolicMatchesPlain) {
   const Netlist nl = small_random_circuit(GetParam());
   Rng rng(GetParam() * 9 + 5);
@@ -500,32 +492,14 @@ TEST_P(SgraphIdentity, PureSymbolicMatchesPlain) {
   const CollapsedFaultList c(nl);
 
   for (Strategy s : {Strategy::Sot, Strategy::Rmot, Strategy::Mot}) {
-    SymFaultSim plain(nl, c.faults(), s);
-    const SymFaultSimResult rp = plain.run(seq);
+    HybridFaultSim plain(nl, c.faults(), pure(s, false));
+    const HybridResult rp = plain.run(seq);
     EXPECT_EQ(rp.mot_downgrades, 0u);
 
-    SymFaultSim guided(nl, c.faults(), s);
-    guided.set_sgraph(true);
-    const SymFaultSimResult rg = guided.run(seq);
+    HybridFaultSim guided(nl, c.faults(), pure(s, true));
+    const HybridResult rg = guided.run(seq);
     expect_same_result(rp, rg, nl, c.faults(), to_cstring(s));
   }
-}
-
-TEST_P(SgraphIdentity, MultiStrategyMatchesPlain) {
-  const Netlist nl = small_random_circuit(GetParam() + 60);
-  Rng rng(GetParam() * 3 + 11);
-  const TestSequence seq = random_sequence(nl, 6, rng);
-  const CollapsedFaultList c(nl);
-
-  const MultiStrategyResult plain =
-      run_all_strategies(nl, c.faults(), seq, {}, VarLayout::Interleaved,
-                         /*trim=*/false, /*sgraph=*/false);
-  const MultiStrategyResult guided =
-      run_all_strategies(nl, c.faults(), seq, {}, VarLayout::Interleaved,
-                         /*trim=*/false, /*sgraph=*/true);
-  expect_same_result(plain.sot, guided.sot, nl, c.faults(), "sot");
-  expect_same_result(plain.rmot, guided.rmot, nl, c.faults(), "rmot");
-  expect_same_result(plain.mot, guided.mot, nl, c.faults(), "mot");
 }
 
 HybridConfig ample(Strategy s, bool sgraph) {

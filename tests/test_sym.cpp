@@ -9,7 +9,7 @@
 #include "bench_data/registry.h"
 #include "bench_data/s27.h"
 #include "bench_data/synth_gen.h"
-#include "core/sym_fault_sim.h"
+#include "core/hybrid_sim.h"
 #include "core/sym_true_value.h"
 #include "core/test_eval.h"
 #include "faults/collapse.h"
@@ -27,6 +27,13 @@ using testing::ref_mot_detectable;
 using testing::ref_rmot_detectable;
 using testing::ref_sot_detectable;
 using testing::small_random_circuit;
+
+/// The pure symbolic engine: the one frame loop with no node limit,
+/// so no fallback window ever opens. Trim and s-graph run at their
+/// production defaults.
+HybridConfig pure(Strategy s) {
+  return HybridConfig{.strategy = s, .node_limit = kNoNodeLimit};
+}
 
 // ---------------------------------------------------------------------------
 // StateVars plan
@@ -159,7 +166,7 @@ class SymStrategyExactness : public ::testing::TestWithParam<std::uint64_t> {
   void check_strategy(const Netlist& nl, const TestSequence& seq,
                       Strategy strategy) {
     const CollapsedFaultList c(nl);
-    SymFaultSim sim(nl, c.faults(), strategy);
+    HybridFaultSim sim(nl, c.faults(), pure(strategy));
     const auto result = sim.run(seq);
     for (std::size_t i = 0; i < c.size(); ++i) {
       const Fault& f = c.faults()[i];
@@ -219,9 +226,9 @@ TEST_P(SymStrategyHierarchy, DetectionSetsAreNested) {
   const TestSequence seq = random_sequence(nl, 8, rng);
   const CollapsedFaultList c(nl);
 
-  SymFaultSim sot(nl, c.faults(), Strategy::Sot);
-  SymFaultSim rmot(nl, c.faults(), Strategy::Rmot);
-  SymFaultSim mot(nl, c.faults(), Strategy::Mot);
+  HybridFaultSim sot(nl, c.faults(), pure(Strategy::Sot));
+  HybridFaultSim rmot(nl, c.faults(), pure(Strategy::Rmot));
+  HybridFaultSim mot(nl, c.faults(), pure(Strategy::Mot));
   const auto rs = sot.run(seq);
   const auto rr = rmot.run(seq);
   const auto rm = mot.run(seq);
@@ -245,8 +252,8 @@ TEST_P(SymStrategyHierarchy, LongerSequencesOnlyDetectMore) {
   const TestSequence prefix(seq.begin(), seq.begin() + 5);
   const CollapsedFaultList c(nl);
 
-  SymFaultSim short_run(nl, c.faults(), Strategy::Mot);
-  SymFaultSim long_run(nl, c.faults(), Strategy::Mot);
+  HybridFaultSim short_run(nl, c.faults(), pure(Strategy::Mot));
+  HybridFaultSim long_run(nl, c.faults(), pure(Strategy::Mot));
   const auto rshort = short_run.run(prefix);
   const auto rlong = long_run.run(seq);
   for (std::size_t i = 0; i < c.size(); ++i) {
@@ -264,10 +271,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SymStrategyHierarchy,
 // Directed symbolic cases
 // ---------------------------------------------------------------------------
 
-TEST(SymFaultSim, InitialStatusSkips) {
+TEST(PureSymbolic, InitialStatusSkips) {
   const Netlist nl = make_s27();
   const CollapsedFaultList c(nl);
-  SymFaultSim sim(nl, c.faults(), Strategy::Mot);
+  HybridFaultSim sim(nl, c.faults(), pure(Strategy::Mot));
   sim.set_initial_status(
       std::vector<FaultStatus>(c.size(), FaultStatus::DetectedSim3));
   Rng rng(5);
@@ -287,7 +294,7 @@ TEST_P(WitnessProps, MotWitnessesAreGenuineIndistinguishablePairs) {
   const auto seq2 = to_bool_sequence(seq);
   const CollapsedFaultList c(nl);
 
-  SymFaultSim sim(nl, c.faults(), Strategy::Mot);
+  HybridFaultSim sim(nl, c.faults(), pure(Strategy::Mot));
   sim.set_collect_witnesses(true);
   const auto r = sim.run(seq);
   ASSERT_EQ(r.witnesses.size(), c.size());
@@ -320,7 +327,7 @@ TEST_P(WitnessProps, RmotWitnessesPassTheStandardEvaluation) {
   const auto seq2 = to_bool_sequence(seq);
   const CollapsedFaultList c(nl);
 
-  SymFaultSim sim(nl, c.faults(), Strategy::Rmot);
+  HybridFaultSim sim(nl, c.faults(), pure(Strategy::Rmot));
   sim.set_collect_witnesses(true);
   const auto r = sim.run(seq);
 
@@ -341,16 +348,16 @@ TEST_P(WitnessProps, RmotWitnessesPassTheStandardEvaluation) {
 INSTANTIATE_TEST_SUITE_P(Seeds, WitnessProps,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
-TEST(SymFaultSim, WitnessesOffByDefault) {
+TEST(PureSymbolic, WitnessesOffByDefault) {
   const Netlist nl = make_s27();
   const CollapsedFaultList c(nl);
-  SymFaultSim sim(nl, c.faults(), Strategy::Mot);
+  HybridFaultSim sim(nl, c.faults(), pure(Strategy::Mot));
   Rng rng(3);
   const auto r = sim.run(random_sequence(nl, 5, rng));
   EXPECT_TRUE(r.witnesses.empty());
 }
 
-TEST(SymFaultSim, DetectFrameIsRecorded) {
+TEST(PureSymbolic, DetectFrameIsRecorded) {
   // Fault visible only through the flip-flop: detection at frame 2.
   Netlist nl("lat");
   const NodeIndex a = nl.add_input("a");
@@ -360,7 +367,7 @@ TEST(SymFaultSim, DetectFrameIsRecorded) {
   nl.finalize();
 
   const std::vector<Fault> faults{Fault{FaultSite{a, kStemPin}, false}};
-  SymFaultSim sim(nl, faults, Strategy::Sot);
+  HybridFaultSim sim(nl, faults, pure(Strategy::Sot));
   const auto r = sim.run(sequence_from_strings({"1", "0"}));
   EXPECT_EQ(r.detected_count, 1u);
   EXPECT_EQ(r.detect_frame[0], 2u);
@@ -422,9 +429,10 @@ StateDiff full_latch(const Netlist& nl, bdd::BddManager& mgr,
   return next;
 }
 
-/// Runs every fault through `frames` random frames with step() (SOT)
-/// and step_multi(), comparing each frame's state_diff with full_latch
-/// until the fault is dropped.
+/// Runs every fault through `frames` random frames with step() under
+/// SOT and, separately, under MOT (which keeps most faults live to
+/// the end), comparing each frame's state_diff with full_latch until
+/// the fault is dropped.
 void expect_latch_matches_full_evaluation(const Netlist& nl,
                                           const std::vector<Fault>& faults,
                                           std::size_t frames,
@@ -435,14 +443,13 @@ void expect_latch_matches_full_evaluation(const Netlist& nl,
   const StateVars vars(nl.dff_count());
   SymTrueValueSim good(nl, mgr, vars);
   SymFaultPropagator prop(nl, mgr, vars);
-  std::vector<SymFaultState> single(faults.size());
-  std::vector<SymFaultPropagator::MultiFaultState> multi(faults.size());
-  std::vector<char> single_live(faults.size(), 1);
-  std::vector<char> multi_live(faults.size(), 1);
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    single[i].detect = mgr.one();
-    multi[i].rmot_detect = mgr.one();
-    multi[i].mot_detect = mgr.one();
+  const Strategy strategies[] = {Strategy::Sot, Strategy::Mot};
+  std::vector<SymFaultState> state[2];
+  std::vector<char> live[2];
+  for (int k = 0; k < 2; ++k) {
+    state[k].resize(faults.size());
+    live[k].assign(faults.size(), 1);
+    for (SymFaultState& fs : state[k]) fs.detect = mgr.one();
   }
   std::size_t compared = 0;
   for (std::size_t t = 0; t < seq.size(); ++t) {
@@ -450,27 +457,17 @@ void expect_latch_matches_full_evaluation(const Netlist& nl,
     SymFrameContext ctx(good.values(), good.state(), nl.output_count());
     for (std::size_t i = 0; i < faults.size(); ++i) {
       const Fault& f = faults[i];
-      if (single_live[i]) {
-        const StateDiff want =
-            full_latch(nl, mgr, f, good, single[i].state_diff);
-        if (prop.step(f, Strategy::Sot, single[i], ctx)) {
-          single_live[i] = 0;
+      for (int k = 0; k < 2; ++k) {
+        if (!live[k][i]) continue;
+        SymFaultState& fs = state[k][i];
+        const StateDiff want = full_latch(nl, mgr, f, good, fs.state_diff);
+        if (prop.step(f, strategies[k], fs, ctx)) {
+          live[k][i] = 0;
         } else {
-          ASSERT_EQ(single[i].state_diff, want)
-              << fault_name(nl, f) << " frame " << t << " in " << nl.name();
-          ++compared;
-        }
-      }
-      if (multi_live[i]) {
-        const StateDiff want =
-            full_latch(nl, mgr, f, good, multi[i].state_diff);
-        if (prop.step_multi(f, multi[i], ctx,
-                            static_cast<std::uint32_t>(t + 1))) {
-          multi_live[i] = 0;
-        } else {
-          ASSERT_EQ(multi[i].state_diff, want)
+          ASSERT_EQ(fs.state_diff, want)
               << fault_name(nl, f) << " frame " << t << " in " << nl.name()
-              << " (step_multi)";
+              << " (" << to_cstring(strategies[k]) << ")";
+          ++compared;
         }
       }
     }
@@ -559,10 +556,10 @@ Bdd dense_rmot(const Netlist& nl, const std::vector<Bdd>& good,
   return detect;
 }
 
-/// Runs every fault through `frames` random frames with step() (MOT)
-/// and step_multi(), comparing D~ after every frame with dense_mot
-/// (and step_multi's rMOT D~ with dense_rmot) until the fault is
-/// dropped: the sparse update may skip only unit terms.
+/// Runs every fault through `frames` random frames with step() under
+/// MOT and, separately, under rMOT, comparing D~ after every frame
+/// with dense_mot and dense_rmot until the fault is dropped: the
+/// sparse updates may skip only unit terms.
 void expect_mot_matches_dense_accumulation(const Netlist& nl,
                                            const std::vector<Fault>& faults,
                                            std::size_t frames,
@@ -574,14 +571,13 @@ void expect_mot_matches_dense_accumulation(const Netlist& nl,
   SymTrueValueSim good(nl, mgr, vars);
   SymFaultPropagator prop(nl, mgr, vars);
   prop.set_trim(trim);
-  std::vector<SymFaultState> single(faults.size());
-  std::vector<SymFaultPropagator::MultiFaultState> multi(faults.size());
-  std::vector<char> single_live(faults.size(), 1);
-  std::vector<char> multi_live(faults.size(), 1);
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    single[i].detect = mgr.one();
-    multi[i].rmot_detect = mgr.one();
-    multi[i].mot_detect = mgr.one();
+  const Strategy strategies[] = {Strategy::Mot, Strategy::Rmot};
+  std::vector<SymFaultState> state[2];
+  std::vector<char> live[2];
+  for (int k = 0; k < 2; ++k) {
+    state[k].resize(faults.size());
+    live[k].assign(faults.size(), 1);
+    for (SymFaultState& fs : state[k]) fs.detect = mgr.one();
   }
   std::size_t compared = 0;
   for (std::size_t t = 0; t < seq.size(); ++t) {
@@ -590,44 +586,23 @@ void expect_mot_matches_dense_accumulation(const Netlist& nl,
     SymFrameContext ctx(gv, good.state(), nl.output_count());
     for (std::size_t i = 0; i < faults.size(); ++i) {
       const Fault& f = faults[i];
-      const std::string where = fault_name(nl, f) + " frame " +
-                                std::to_string(t) + " in " + nl.name();
-      if (single_live[i]) {
-        const std::vector<Bdd> fv =
-            full_eval(nl, mgr, f, good, single[i].state_diff);
-        const Bdd want = dense_mot(nl, mgr, vars, gv, fv, single[i].detect);
-        const bool done = prop.step(f, Strategy::Mot, single[i], ctx);
+      for (int k = 0; k < 2; ++k) {
+        if (!live[k][i]) continue;
+        SymFaultState& fs = state[k][i];
+        const std::string where = fault_name(nl, f) + " frame " +
+                                  std::to_string(t) + " in " + nl.name() +
+                                  " (" + to_cstring(strategies[k]) + ")";
+        const std::vector<Bdd> fv = full_eval(nl, mgr, f, good, fs.state_diff);
+        const Bdd want = strategies[k] == Strategy::Mot
+                             ? dense_mot(nl, mgr, vars, gv, fv, fs.detect)
+                             : dense_rmot(nl, gv, fv, fs.detect);
+        const bool done = prop.step(f, strategies[k], fs, ctx);
         ASSERT_EQ(done, want.is_zero()) << where;
         if (done) {
-          single_live[i] = 0;
+          live[k][i] = 0;
         } else {
-          ASSERT_EQ(single[i].detect, want) << where;
+          ASSERT_EQ(fs.detect, want) << where;
           ++compared;
-        }
-      }
-      if (multi_live[i]) {
-        SymFaultPropagator::MultiFaultState& ms = multi[i];
-        const std::vector<Bdd> fv = full_eval(nl, mgr, f, good, ms.state_diff);
-        const bool mot_open = !ms.mot_done;
-        const bool rmot_open = !ms.rmot_done;
-        const Bdd want_mot =
-            mot_open ? dense_mot(nl, mgr, vars, gv, fv, ms.mot_detect) : Bdd();
-        const Bdd want_rmot =
-            rmot_open ? dense_rmot(nl, gv, fv, ms.rmot_detect) : Bdd();
-        if (prop.step_multi(f, ms, ctx, static_cast<std::uint32_t>(t + 1))) {
-          multi_live[i] = 0;
-        }
-        if (mot_open) {
-          ASSERT_EQ(ms.mot_done, want_mot.is_zero()) << where;
-          if (!ms.mot_done) {
-            ASSERT_EQ(ms.mot_detect, want_mot) << where;
-          }
-        }
-        if (rmot_open) {
-          ASSERT_EQ(ms.rmot_done, want_rmot.is_zero()) << where << " (rMOT)";
-          if (!ms.rmot_done) {
-            ASSERT_EQ(ms.rmot_detect, want_rmot) << where << " (rMOT)";
-          }
         }
       }
     }

@@ -2,7 +2,7 @@
 // the static activation plan itself, and the property the whole pass
 // stands on — trimmed runs are BIT-IDENTICAL to untrimmed runs, for
 // every engine (pure symbolic, hybrid, parallel with any thread
-// count), every strategy, and the multi-strategy driver. Verdicts,
+// count) and every strategy. Verdicts,
 // detection frames AND store fingerprints must all match; only the
 // work counters may differ.
 
@@ -20,7 +20,6 @@
 #include "bench_data/synth_gen.h"
 #include "core/hybrid_sim.h"
 #include "core/parallel_sym_sim.h"
-#include "core/sym_fault_sim.h"
 #include "faults/collapse.h"
 #include "faults/fault_list.h"
 #include "reference.h"
@@ -66,19 +65,6 @@ Netlist const_chain_circuit() {
   nl.mark_output(o);
   nl.finalize();
   return nl;
-}
-
-void expect_same_result(const SymFaultSimResult& a, const SymFaultSimResult& b,
-                        const Netlist& nl, const std::vector<Fault>& faults,
-                        const char* what) {
-  ASSERT_EQ(a.status.size(), b.status.size()) << what;
-  EXPECT_EQ(a.detected_count, b.detected_count) << what;
-  for (std::size_t i = 0; i < a.status.size(); ++i) {
-    EXPECT_EQ(a.status[i], b.status[i])
-        << what << " " << fault_name(nl, faults[i]);
-    EXPECT_EQ(a.detect_frame[i], b.detect_frame[i])
-        << what << " " << fault_name(nl, faults[i]);
-  }
 }
 
 void expect_same_result(const HybridResult& a, const HybridResult& b,
@@ -308,6 +294,11 @@ TEST(ConeClustering, NoObservationPointsGivesTheEmptySignature) {
 
 class TrimIdentity : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// The pure symbolic engine (no node limit) with trimming on or off.
+HybridConfig pure(Strategy s, bool trim) {
+  return HybridConfig{.strategy = s, .node_limit = kNoNodeLimit, .trim = trim};
+}
+
 TEST_P(TrimIdentity, PureSymbolicMatchesUntrimmed) {
   const Netlist nl = small_random_circuit(GetParam());
   Rng rng(GetParam() * 7 + 3);
@@ -315,34 +306,16 @@ TEST_P(TrimIdentity, PureSymbolicMatchesUntrimmed) {
   const CollapsedFaultList c(nl);
 
   for (Strategy s : {Strategy::Sot, Strategy::Rmot, Strategy::Mot}) {
-    SymFaultSim plain(nl, c.faults(), s);
-    const SymFaultSimResult rp = plain.run(seq);
+    HybridFaultSim plain(nl, c.faults(), pure(s, false));
+    const HybridResult rp = plain.run(seq);
     EXPECT_EQ(rp.frames_skipped, 0u);
     EXPECT_EQ(rp.faults_terminated_early, 0u);
     EXPECT_EQ(rp.faultfree_evals_shared, 0u);
 
-    SymFaultSim trimmed(nl, c.faults(), s);
-    trimmed.set_trim(true);
-    const SymFaultSimResult rt = trimmed.run(seq);
+    HybridFaultSim trimmed(nl, c.faults(), pure(s, true));
+    const HybridResult rt = trimmed.run(seq);
     expect_same_result(rp, rt, nl, c.faults(), to_cstring(s));
   }
-}
-
-TEST_P(TrimIdentity, MultiStrategyMatchesUntrimmed) {
-  const Netlist nl = small_random_circuit(GetParam() + 20);
-  Rng rng(GetParam() * 13 + 1);
-  const TestSequence seq = random_sequence(nl, 6, rng);
-  const CollapsedFaultList c(nl);
-
-  const MultiStrategyResult plain =
-      run_all_strategies(nl, c.faults(), seq, {}, VarLayout::Interleaved,
-                         /*trim=*/false);
-  const MultiStrategyResult trimmed =
-      run_all_strategies(nl, c.faults(), seq, {}, VarLayout::Interleaved,
-                         /*trim=*/true);
-  expect_same_result(plain.sot, trimmed.sot, nl, c.faults(), "sot");
-  expect_same_result(plain.rmot, trimmed.rmot, nl, c.faults(), "rmot");
-  expect_same_result(plain.mot, trimmed.mot, nl, c.faults(), "mot");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TrimIdentity,
@@ -418,12 +391,11 @@ TEST(TrimIdentityBench, SettledChainSkipsFramesWithoutChangingVerdicts) {
   const std::vector<Fault> faults = all_faults(nl);
 
   for (Strategy s : {Strategy::Sot, Strategy::Rmot, Strategy::Mot}) {
-    SymFaultSim plain(nl, faults, s);
-    const SymFaultSimResult rp = plain.run(seq);
+    HybridFaultSim plain(nl, faults, pure(s, false));
+    const HybridResult rp = plain.run(seq);
 
-    SymFaultSim trimmed(nl, faults, s);
-    trimmed.set_trim(true);
-    const SymFaultSimResult rt = trimmed.run(seq);
+    HybridFaultSim trimmed(nl, faults, pure(s, true));
+    const HybridResult rt = trimmed.run(seq);
     expect_same_result(rp, rt, nl, faults, to_cstring(s));
 
     // Input-cone nets carry concrete per-frame values, so quiescent

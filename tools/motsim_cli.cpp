@@ -49,6 +49,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -573,9 +574,7 @@ int run_campaign_mode(const Options& o, const Netlist& nl,
   return write_report_json(o, nl, faults, r.status, r.detect_frame);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   Options o = parse_args(argc, argv);
 
   // Piped invocations (motsim_cli ... | head) must see EPIPE write
@@ -766,4 +765,18 @@ int main(int argc, char** argv) {
       write_report_json(o, nl, faults.faults(), r.status, r.detect_frame);
   const int trc = write_telemetry_outputs(o, tele);
   return rc != 0 ? rc : trc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // What the engines report by exception (a node limit too small for
+  // the circuit's state variables, say) ends the run with a message and
+  // exit code 1 instead of an abort.
+  try {
+    return run_cli(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "motsim_cli: error: %s\n", e.what());
+    return 1;
+  }
 }
