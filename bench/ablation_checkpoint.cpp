@@ -73,15 +73,14 @@ Measurement measure(const Netlist& nl, const std::vector<Fault>& faults,
   Measurement best;
   best.seconds = 1e100;
   for (int rep = 0; rep < reps; ++rep) {
-    ParallelSymConfig cfg;
-    cfg.hybrid.strategy = Strategy::Mot;
-    cfg.hybrid.checkpoint_interval = interval;
-    cfg.threads = threads;
-    ParallelSymSim sim(nl, faults, cfg);
+    HybridConfig cfg;
+    cfg.strategy = Strategy::Mot;
+    cfg.checkpoint_interval = interval;
+    HybridFaultSim engine(nl, faults, cfg);
     FileSink sink(sink_path);
-    if (interval != 0) sim.set_checkpoint_sink(&sink);
+    if (interval != 0) engine.set_checkpoint_sink(&sink);
     Stopwatch timer;
-    const HybridResult r = sim.run(seq);
+    const HybridResult r = run_sharded(engine, seq, threads, 0);
     const double secs = timer.elapsed_seconds();
     if (secs < best.seconds) {
       best.seconds = secs;

@@ -172,7 +172,7 @@ int main() {
     const TestSequence seq = random_sequence(nl, w.vectors, rng);
 
     for (Strategy strategy : strategies) {
-      // threads=1 exercises HybridFaultSim, threads=4 ParallelSymSim;
+      // threads=1 exercises HybridFaultSim::run, threads=4 run_sharded;
       // the on-runs across thread counts must also agree with each
       // other (the horizon-aware partition may not leak into results).
       std::vector<Measurement> on_runs;

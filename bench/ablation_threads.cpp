@@ -60,13 +60,11 @@ int main() {
     double t1 = 0;
     std::vector<FaultStatus> reference;
     for (std::size_t threads = 1; threads <= max_threads; threads *= 2) {
-      ParallelSymConfig cfg;
-      cfg.hybrid.strategy = Strategy::Mot;
-      cfg.threads = threads;
-      cfg.chunk_size = chunk;
-      ParallelSymSim sim(nl, faults.faults(), cfg);
+      HybridConfig cfg;
+      cfg.strategy = Strategy::Mot;
+      const HybridFaultSim engine(nl, faults.faults(), cfg);
       Stopwatch timer;
-      const HybridResult r = sim.run(seq);
+      const HybridResult r = run_sharded(engine, seq, threads, chunk);
       const double secs = timer.elapsed_seconds();
       if (threads == 1) {
         t1 = secs;

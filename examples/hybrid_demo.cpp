@@ -18,6 +18,7 @@
 #include "tpg/sequences.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 using namespace motsim;
 
@@ -59,15 +60,15 @@ int main() {
   // BddManager per shard). The result is bit-identical for any thread
   // count; only the wall clock changes.
   {
-    ParallelSymConfig pc;
-    pc.hybrid.strategy = Strategy::Mot;
-    pc.threads = 0;  // one worker per hardware thread
-    ParallelSymSim par(nl, faults.faults(), pc);
+    HybridConfig hc;
+    hc.strategy = Strategy::Mot;
+    const HybridFaultSim engine(nl, faults.faults(), hc);
+    const std::size_t threads = ThreadPool::default_thread_count();
     Stopwatch timer;
-    const HybridResult r = par.run(seq);
+    const HybridResult r =
+        run_sharded(engine, seq, threads, /*chunk_size=*/0);
     std::printf("\nfault-sharded (%zu threads): %zu detected in %.3f s\n",
-                par.resolved_threads(), r.detected_count,
-                timer.elapsed_seconds());
+                threads, r.detected_count, timer.elapsed_seconds());
   }
 
   std::printf(

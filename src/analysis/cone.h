@@ -189,7 +189,7 @@ class ConeAnalysis {
 /// first-occurrence order and members their relative order, so the
 /// result is a pure function of (netlist, faults, live) — never of
 /// thread count or scheduling. Signatures come from one
-/// ForwardCondensation, not a walk per fault. Used by ParallelSymSim's
+/// ForwardCondensation, not a walk per fault. Used by run_sharded's
 /// cluster-aware shard assignment (docs/DESIGN.md).
 [[nodiscard]] std::vector<std::size_t> cluster_live_order(
     const Netlist& netlist, const std::vector<Fault>& faults,

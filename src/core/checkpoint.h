@@ -27,7 +27,7 @@ namespace motsim {
 /// `fault_index`, `status`, `detect_frame` and `diff` are aligned, one
 /// entry per fault of the chunk. `fault_index` holds indices into the
 /// caller's fault list: HybridFaultSim emits 0..n-1 (its own order),
-/// ParallelSymSim rewrites them to the global fault list. `diff` is
+/// run_sharded rewrites them to the global fault list. `diff` is
 /// meaningful only for faults still Undetected (live); it is the
 /// sparse three-valued divergence of the faulty machine's state from
 /// `good_state`.
@@ -56,7 +56,7 @@ struct ChunkCheckpoint {
 
 /// Observer for checkpoint snapshots, the persistence hook of the run
 /// store. Like ProgressSink: HybridFaultSim calls it from the thread
-/// that executes run(); ParallelSymSim serializes calls through one
+/// that executes run(); run_sharded serializes calls through one
 /// mutex and translates chunk ids and fault indices to the global
 /// fault list. A sink that throws aborts the run (the parallel driver
 /// rethrows the first error) — the run-store tests use exactly that to

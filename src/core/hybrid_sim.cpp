@@ -2,8 +2,10 @@
 
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "core/sym_true_value.h"
 #include "obs/telemetry.h"
@@ -25,6 +27,31 @@ std::size_t hard_node_limit(const HybridConfig& c) {
 
 }  // namespace
 
+Expected<bool, std::string> check_hybrid_config(const Netlist& netlist,
+                                                const HybridConfig& config) {
+  using Err = Unexpected<std::string>;
+  if (config.node_limit == 0 || config.fallback_frames == 0 ||
+      config.hard_limit_factor == 0) {
+    return Err{"HybridConfig: limits must be positive"};
+  }
+  // run() seeds one state-variable node per flip-flop before the first
+  // frame, outside the frame's overflow recovery. The manager refuses a
+  // node once live + 2 reaches the hard limit, so m flip-flops need a
+  // hard limit of at least m + 2.
+  const std::size_t m = netlist.dff_count();
+  const std::size_t f = config.hard_limit_factor;
+  if (m != 0 && hard_node_limit(config) < m + 2) {
+    const std::size_t smallest = (m + 2) / f + ((m + 2) % f != 0 ? 1 : 0);
+    return Err{"HybridConfig: node_limit " +
+               std::to_string(config.node_limit) + " cannot hold the " +
+               std::to_string(m) +
+               " state variables (hard limit node_limit * " +
+               std::to_string(f) + "); the smallest node_limit that works is " +
+               std::to_string(smallest)};
+  }
+  return true;
+}
+
 HybridFaultSim::HybridFaultSim(const Netlist& netlist,
                                std::vector<Fault> faults, HybridConfig config)
     : netlist_(&netlist),
@@ -34,24 +61,8 @@ HybridFaultSim::HybridFaultSim(const Netlist& netlist,
   if (!netlist.finalized()) {
     throw std::logic_error("HybridFaultSim requires a finalized netlist");
   }
-  if (config_.node_limit == 0 || config_.fallback_frames == 0 ||
-      config_.hard_limit_factor == 0) {
-    throw std::invalid_argument("HybridConfig: limits must be positive");
-  }
-  // run() seeds one state-variable node per flip-flop before the first
-  // frame, outside the frame's overflow recovery. The manager refuses a
-  // node once live + 2 reaches the hard limit, so m flip-flops need a
-  // hard limit of at least m + 2.
-  const std::size_t m = netlist.dff_count();
-  const std::size_t f = config_.hard_limit_factor;
-  if (m != 0 && hard_node_limit(config_) < m + 2) {
-    const std::size_t smallest = (m + 2) / f + ((m + 2) % f != 0 ? 1 : 0);
-    throw std::invalid_argument(
-        "HybridConfig: node_limit " + std::to_string(config_.node_limit) +
-        " cannot hold the " + std::to_string(m) +
-        " state variables (hard limit node_limit * " + std::to_string(f) +
-        "); the smallest node_limit that works is " +
-        std::to_string(smallest));
+  if (const auto ok = check_hybrid_config(netlist, config_); !ok.has_value()) {
+    throw std::invalid_argument(ok.error());
   }
 }
 
@@ -94,6 +105,45 @@ void HybridFaultSim::set_resume(ChunkCheckpoint checkpoint) {
   resume_ = std::move(checkpoint);
 }
 
+HybridFaultSim::Plans HybridFaultSim::resolve_plans() const {
+  Plans plans;
+  if (config_.trim && trim_plan_) {
+    plans.trim = *trim_plan_;
+  } else if (config_.trim) {
+    const obs::SpanTracer::Span plan_span =
+        obs::open_span(telemetry_, "plan.trim");
+    plans.trim = build_trim_plan(*netlist_, faults_);
+  }
+  if (config_.sgraph && sgraph_plan_) {
+    plans.sgraph = *sgraph_plan_;
+  } else if (config_.sgraph) {
+    const obs::SpanTracer::Span plan_span =
+        obs::open_span(telemetry_, "plan.sgraph");
+    plans.sgraph = build_sgraph_plan(*netlist_, faults_);
+  }
+  return plans;
+}
+
+HybridFaultSim HybridFaultSim::shard(std::span<const std::size_t> indices,
+                                     const Plans& plans) const {
+  const auto gather = [indices](const auto& all) {
+    std::remove_cvref_t<decltype(all)> out;
+    out.reserve(indices.size());
+    for (const std::size_t i : indices) out.push_back(all[i]);
+    return out;
+  };
+  HybridFaultSim sim(*netlist_, gather(faults_), config_);
+  sim.initial_status_ = gather(initial_status_);
+  sim.tied_ = tied_;
+  sim.telemetry_ = telemetry_;
+  if (config_.trim) sim.trim_plan_ = TrimPlan{gather(plans.trim.dead_from)};
+  if (config_.sgraph) {
+    sim.sgraph_plan_ = SgraphPlan{gather(plans.sgraph.horizon),
+                                  plans.sgraph.nontrivial_sccs};
+  }
+  return sim;
+}
+
 namespace {
 
 Val3 bdd_to_val3(const Bdd& b) {
@@ -121,26 +171,12 @@ HybridResult HybridFaultSim::run(
   // again, so its remaining symbolic frames are pure no-ops. MOT never
   // parks (D̃ keeps accumulating). Parked faults keep their BDD handles
   // alive so gc pressure — and hence every fallback decision — matches
-  // the untrimmed run.
-  TrimPlan plan;
-  if (config_.trim && trim_plan_) {
-    plan = *trim_plan_;
-  } else if (config_.trim) {
-    const obs::SpanTracer::Span plan_span =
-        obs::open_span(telemetry_, "plan.trim");
-    plan = build_trim_plan(nl, faults_);
-  }
-  // S-graph observation horizons for the rMOT/MOT downgrade. Horizons
-  // are epoch-relative: every re-seed of the symbolic state variables
-  // (window exit, checkpoint sync, resume) restarts the clock.
-  SgraphPlan splan;
-  if (config_.sgraph && sgraph_plan_) {
-    splan = *sgraph_plan_;
-  } else if (config_.sgraph) {
-    const obs::SpanTracer::Span plan_span =
-        obs::open_span(telemetry_, "plan.sgraph");
-    splan = build_sgraph_plan(nl, faults_);
-  }
+  // the untrimmed run. S-graph observation horizons for the rMOT/MOT
+  // downgrade are epoch-relative: every re-seed of the symbolic state
+  // variables (window exit, checkpoint sync, resume) restarts the clock.
+  const Plans plans = resolve_plans();
+  const TrimPlan& plan = plans.trim;
+  const SgraphPlan& splan = plans.sgraph;
   // Three-valued engine behind the fallback windows; the backend is a
   // pure performance knob (bit-identical results). Runs serially —
   // the parallel symbolic driver shards at the fault level already.

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "analysis/sgraph.h"
@@ -15,6 +17,7 @@
 #include "faults/fault.h"
 #include "logic/val3.h"
 #include "sim3/fault_simulator.h"
+#include "util/expected.h"
 
 namespace motsim {
 
@@ -27,12 +30,9 @@ struct Telemetry;  // obs/telemetry.h
 /// saturated) disables the BDD manager's cap.
 inline constexpr std::size_t kNoNodeLimit = SIZE_MAX;
 
-/// Configuration of the hybrid fault simulator.
-///
-/// Compatibility note: new code should prefer the flat SimOptions
-/// (core/options.h) and its to_hybrid_config() conversion; this struct
-/// remains the engine-level representation and a thin wrapper for
-/// existing callers.
+/// Configuration of the hybrid fault simulator: the engine-level
+/// representation of SimOptions' symbolic-engine fields (front ends
+/// build a SimOptions and convert it with to_hybrid_config()).
 struct HybridConfig {
   Strategy strategy = Strategy::Mot;
   /// Placement of the x/y state variables (see VarLayout).
@@ -91,6 +91,15 @@ struct HybridConfig {
   /// folds horizons into the cluster order. On by default.
   bool sgraph = true;
 };
+
+/// Checks `config` against `netlist`: every limit positive, and a hard
+/// limit (node_limit * hard_limit_factor) that holds the one
+/// state-variable node per flip-flop symbolic mode starts from. The
+/// error names the smallest node_limit that works. The HybridFaultSim
+/// constructor throws std::invalid_argument with this message; front
+/// ends call it first to reject a configuration before any work.
+[[nodiscard]] Expected<bool, std::string> check_hybrid_config(
+    const Netlist& netlist, const HybridConfig& config);
 
 /// A concrete certificate of UNdetectability under MOT (Lemma 1's
 /// counterexample direction): a pair of initial states — p for the
@@ -153,10 +162,13 @@ struct HybridResult {
 /// The one symbolic frame loop: a pure symbolic (exact) run is this
 /// engine with `node_limit = kNoNodeLimit`.
 ///
-/// The constructor throws std::invalid_argument when the hard limit
-/// cannot hold the one state-variable node per flip-flop that symbolic
-/// mode starts from; the message names the smallest node_limit that
-/// works.
+/// The constructor throws std::invalid_argument when check_hybrid_config
+/// rejects the configuration, std::logic_error on a netlist that is not
+/// finalized.
+///
+/// A configured engine runs serially with run(), or fault-sharded with
+/// run_sharded (core/parallel_sym_sim.h), which cuts it into one engine
+/// per shard.
 class HybridFaultSim {
  public:
   HybridFaultSim(const Netlist& netlist, std::vector<Fault> faults,
@@ -199,8 +211,7 @@ class HybridFaultSim {
 
   /// Supplies a pre-built trimming plan (aligned with this fault
   /// list). Used by the pipeline to hand down the implication-enriched
-  /// plan and by the parallel driver to slice one global plan per
-  /// chunk; without it the engine builds the structural plan itself
+  /// plan; without it the engine builds the structural plan itself
   /// when config.trim is on. Ignored when config.trim is off.
   void set_trim_plan(TrimPlan plan);
 
@@ -231,6 +242,29 @@ class HybridFaultSim {
       const std::vector<std::vector<Val3>>& sequence);
 
  private:
+  friend HybridResult run_sharded(
+      const HybridFaultSim& engine,
+      const std::vector<std::vector<Val3>>& sequence, std::size_t threads,
+      std::size_t chunk_size, std::vector<ChunkCheckpoint> resume);
+
+  /// The plans a run works from, aligned with this fault list.
+  struct Plans {
+    TrimPlan trim;      ///< empty when config.trim is off
+    SgraphPlan sgraph;  ///< empty when config.sgraph is off
+  };
+
+  /// The supplied plans, else the structural ones built here under a
+  /// "plan.trim" / "plan.sgraph" span, for the passes that are on.
+  [[nodiscard]] Plans resolve_plans() const;
+
+  /// An engine over the faults at `indices` of this fault list, with
+  /// this engine's configuration, initial statuses, tied constants and
+  /// telemetry, and `plans` (from resolve_plans) sliced to match.
+  /// Sinks, resume snapshot and witness request stay behind: the
+  /// sharded driver installs its own.
+  [[nodiscard]] HybridFaultSim shard(std::span<const std::size_t> indices,
+                                     const Plans& plans) const;
+
   const Netlist* netlist_;
   std::vector<Fault> faults_;
   HybridConfig config_;

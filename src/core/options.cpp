@@ -59,17 +59,6 @@ Expected<SimOptions, std::string> SimOptions::validate() const {
   return *this;
 }
 
-bdd::BddConfig SimOptions::to_bdd_config() const {
-  bdd::BddConfig c;
-  c.initial_capacity = bdd_initial_capacity;
-  c.cache_size_log2 = bdd_cache_size_log2;
-  c.auto_gc_floor = bdd_auto_gc_floor;
-  // hard_node_limit is derived by the hybrid simulator from
-  // node_limit * hard_limit_factor; the raw BddConfig keeps its
-  // default (unlimited) here.
-  return c;
-}
-
 HybridConfig SimOptions::to_hybrid_config() const {
   HybridConfig c;
   c.strategy = strategy;
@@ -78,7 +67,11 @@ HybridConfig SimOptions::to_hybrid_config() const {
   c.fallback_frames = fallback_frames;
   c.hard_limit_factor = hard_limit_factor;
   c.checkpoint_interval = checkpoint_interval;
-  c.bdd = to_bdd_config();
+  c.bdd.initial_capacity = bdd_initial_capacity;
+  c.bdd.cache_size_log2 = bdd_cache_size_log2;
+  c.bdd.auto_gc_floor = bdd_auto_gc_floor;
+  // The BDD hard limit is derived by the hybrid simulator from
+  // node_limit * hard_limit_factor.
   c.sim3_backend = sim3_backend;
   c.trim = trim;
   c.sgraph = sgraph;
@@ -96,29 +89,6 @@ PipelineConfig SimOptions::to_pipeline_config() const {
   c.hybrid = to_hybrid_config();
   c.telemetry = telemetry;
   return c;
-}
-
-SimOptions SimOptions::from_pipeline_config(const PipelineConfig& config) {
-  SimOptions o;
-  o.analysis = config.analysis;
-  o.run_xred = config.run_xred;
-  o.sim3_backend = config.sim3_backend;
-  o.run_symbolic = config.run_symbolic;
-  o.threads = config.threads;
-  o.chunk_size = config.chunk_size;
-  o.strategy = config.hybrid.strategy;
-  o.layout = config.hybrid.layout;
-  o.node_limit = config.hybrid.node_limit;
-  o.fallback_frames = config.hybrid.fallback_frames;
-  o.hard_limit_factor = config.hybrid.hard_limit_factor;
-  o.checkpoint_interval = config.hybrid.checkpoint_interval;
-  o.trim = config.hybrid.trim;
-  o.sgraph = config.hybrid.sgraph;
-  o.bdd_initial_capacity = config.hybrid.bdd.initial_capacity;
-  o.bdd_cache_size_log2 = config.hybrid.bdd.cache_size_log2;
-  o.bdd_auto_gc_floor = config.hybrid.bdd.auto_gc_floor;
-  o.telemetry = config.telemetry;
-  return o;
 }
 
 }  // namespace motsim

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <string>
 
-#include "bdd/bdd.h"
 #include "core/hybrid_sim.h"
 #include "core/sym_fault_sim.h"
 #include "util/expected.h"
@@ -19,17 +18,15 @@ struct Telemetry;  // obs/telemetry.h
 }
 
 /// The unified, flat configuration surface of the fault-simulation
-/// engines. One struct covers everything the pipeline, the hybrid
-/// simulator, the parallel driver and the BDD package used to spread
-/// over the nested PipelineConfig -> HybridConfig -> BddConfig chain;
-/// those structs remain as thin compatibility wrappers (and as the
-/// internal representation) for one release — new code should build a
-/// SimOptions, validate() it, and hand it to run_pipeline or
-/// ParallelSymSim.
+/// engines: one struct covers the pipeline, the hybrid simulator, the
+/// parallel driver and the BDD package. Front ends build a SimOptions,
+/// validate() it and hand it to run_pipeline or run_campaign; the
+/// engines work from the nested PipelineConfig -> HybridConfig ->
+/// BddConfig representation that to_pipeline_config() and
+/// to_hybrid_config() produce.
 ///
-/// Every field has the same default as the legacy structs, so a
-/// default-constructed SimOptions reproduces today's behaviour
-/// exactly.
+/// Every field has the same default as those structs, so a
+/// default-constructed SimOptions reproduces their defaults exactly.
 struct SimOptions {
   // ---- pipeline stages ------------------------------------------------
   /// Run the sequence-independent static analyses (StaticXRedAnalysis
@@ -95,9 +92,9 @@ struct SimOptions {
   bool sgraph = true;
 
   // ---- parallel execution --------------------------------------------
-  /// Worker threads for the symbolic stage: 1 = the serial
-  /// HybridFaultSim (exactly the legacy path), 0 = one per hardware
-  /// thread, N >= 2 = fault-sharded ParallelSymSim with N workers.
+  /// Worker threads for the symbolic stage: 1 = HybridFaultSim::run,
+  /// unsharded; 0 = one per hardware thread and N >= 2 = run_sharded
+  /// with that many workers.
   std::size_t threads = 1;
   /// Faults per shard of the parallel driver; 0 = the driver's default
   /// (kDefaultChunkSize). The partition depends only on this value and
@@ -136,15 +133,9 @@ struct SimOptions {
   /// future versions may canonicalize without breaking callers.
   [[nodiscard]] Expected<SimOptions, std::string> validate() const;
 
-  // ---- conversions to the legacy structs ------------------------------
-  [[nodiscard]] bdd::BddConfig to_bdd_config() const;
+  // ---- conversions to the engine representation ----------------------
   [[nodiscard]] HybridConfig to_hybrid_config() const;
   [[nodiscard]] PipelineConfig to_pipeline_config() const;
-
-  /// Lifts a legacy nested config into the flat surface (seed keeps
-  /// its default — PipelineConfig never carried one).
-  [[nodiscard]] static SimOptions from_pipeline_config(
-      const PipelineConfig& config);
 
   /// Field-by-field equality of the *configuration* — the telemetry
   /// pointer is deliberately ignored (observers don't change what a

@@ -2,13 +2,10 @@
 #define MOTSIM_CORE_PARALLEL_SYM_SIM_H
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "core/checkpoint.h"
 #include "core/hybrid_sim.h"
-#include "core/progress.h"
-#include "faults/fault.h"
 #include "logic/val3.h"
 
 namespace motsim {
@@ -19,151 +16,47 @@ namespace motsim {
 /// simulation of the whole sequence) stays amortized.
 inline constexpr std::size_t kDefaultChunkSize = 64;
 
-/// Configuration of the fault-sharded parallel symbolic driver.
-struct ParallelSymConfig {
-  /// Settings of each per-shard HybridFaultSim. Note that `node_limit`
-  /// is per shard (per BDD manager): a shard enters its three-valued
-  /// fallback window based on its own manager's live-node count.
-  HybridConfig hybrid;
-  /// Worker threads; 0 = one per hardware thread.
-  std::size_t threads = 0;
-  /// Faults per shard; 0 = kDefaultChunkSize. Results depend on the
-  /// partition only when fallback windows trigger (the window schedule
-  /// is a function of each shard's aggregate OBDD size); they NEVER
-  /// depend on `threads`.
-  std::size_t chunk_size = 0;
-};
-
-/// Fault-sharded parallel symbolic fault simulator.
+/// Fault-sharded run of a configured engine (docs/PARALLEL.md).
 ///
-/// The paper's hybrid engine is embarrassingly parallel across the
-/// fault list — each faulty machine's detection function D̃ evolves
-/// independently of every other fault — so this driver partitions the
-/// live faults into fixed chunks, runs one HybridFaultSim per chunk,
-/// each with its own private bdd::BddManager (the manager is single-
-/// threaded by design; see bdd/bdd.h), and lets a pool of workers
-/// drain the chunk queue via an atomic cursor.
+/// Each faulty machine's D̃ evolves independently, so this driver cuts
+/// the engine's live faults into chunks of `chunk_size` (0 =
+/// kDefaultChunkSize), runs one HybridFaultSim per chunk with its own
+/// private bdd::BddManager, and lets `threads` workers (0 = one per
+/// hardware thread) drain the chunks. Every shard takes the engine's
+/// configuration, initial statuses, tied constants, telemetry and
+/// plans, sliced to its faults; `node_limit` therefore applies per
+/// shard. The engine's progress and checkpoint sinks see every shard,
+/// serialized through one mutex, in the engine's fault indices and
+/// global chunk numbers. The first shard exception (a throwing sink
+/// included) is rethrown after the workers stop.
 ///
-/// When config.hybrid.trim is on, the live faults are first reordered
-/// so faults sharing a cone-of-influence signature become shard
-/// neighbours (cluster_live_order, analysis/cone.h): shard-mates then
-/// diverge over the same region of the circuit, maximizing reuse of
-/// the shard's one fault-free OBDD evaluation and its shared per-frame
-/// MOT equality products. When config.hybrid.sgraph is additionally
-/// on, the clustered order is stably partitioned by s-graph
-/// observation horizon, so faults that downgrade at the same frame —
-/// equivalently, whose cones avoid the same SCC-fed outputs — share
-/// shards and their downgraded frames stay cheap together (docs/
-/// DESIGN.md). Both reorders are pure functions of the netlist, fault
-/// list and initial statuses, so determinism is unaffected.
+/// The partition: the live faults in fault-list order, grouped by
+/// shared cone of influence when config.trim is on (cluster_live_order,
+/// analysis/cone.h), then stably sorted by s-graph observation horizon
+/// when config.sgraph is on, so shard-mates share their fault-free
+/// evaluation, MOT equality products and downgrade frame (docs/
+/// DESIGN.md). It depends on the netlist, fault list, initial statuses,
+/// `chunk_size` and the two flags — never on `threads` — so the merged
+/// result is bit-identical for any thread count, fallback windows
+/// included. It matches the unsharded engine.run() whenever neither
+/// runs a fallback window; under memory pressure the window schedules
+/// differ and coverage may differ, sound in both.
 ///
-/// Determinism: the chunk partition is a pure function of the fault
-/// list, the initial statuses, `chunk_size` and the trim/sgraph flags
-/// — never of `threads` or of scheduling — and every chunk's simulation is
-/// self-contained, so
-/// the merged result is bit-identical for ANY thread count (1, 2, 8,
-/// ...), including runs where fallback windows trigger. Relative to
-/// the UNsharded serial engine the per-fault statuses also match
-/// whenever no fallback window runs in either engine (the common
-/// case); under memory pressure the window *schedules* differ — the
-/// serial engine trips its limit on the whole fault list's nodes, a
-/// shard only on its own — and coverage may legitimately differ while
-/// remaining sound in both. docs/PARALLEL.md spells this out.
+/// `resume`: per-chunk snapshots from an earlier run's checkpoint sink
+/// (at most one per chunk). Each is validated against the recomputed
+/// partition before any shard runs; a mismatch, or an engine carrying
+/// its own set_resume snapshot, throws std::invalid_argument.
 ///
-/// The merged HybridResult: per-fault status/detect_frame are written
-/// into the global fault order; detected_count, fallback_windows,
-/// symbolic_frames and three_valued_frames are summed over shards
-/// (each shard walks the whole sequence, so frame counters scale with
-/// the shard count); peak_live_nodes is the max over shards;
-/// used_fallback is the OR.
-class ParallelSymSim {
- public:
-  /// Validates the configuration like HybridFaultSim does (throws
-  /// std::invalid_argument / std::logic_error on bad limits or a
-  /// non-finalized netlist).
-  ParallelSymSim(const Netlist& netlist, std::vector<Fault> faults,
-                 ParallelSymConfig config = {});
-
-  /// Pre-classifies faults; non-Undetected entries are not simulated.
-  void set_initial_status(std::vector<FaultStatus> status);
-
-  /// Observer for the run; callbacks are serialized through a mutex
-  /// and fault indices are translated to this fault list's indexing.
-  /// Pass nullptr (default) for zero overhead.
-  void set_progress(ProgressSink* sink) noexcept { progress_ = sink; }
-
-  /// Telemetry context shared by every shard (see obs/telemetry.h):
-  /// each worker-chunk's HybridFaultSim reports into it concurrently
-  /// (its instruments are thread-safe by construction), the driver
-  /// adds a per-shard "shard" span, the parallel.shard_seconds
-  /// histogram and the worker pool's statistics. nullptr = off.
-  void set_telemetry(obs::Telemetry* telemetry) noexcept {
-    telemetry_ = telemetry;
-  }
-
-  /// Receiver of checkpoint snapshots (config.hybrid.checkpoint_interval
-  /// must be nonzero for any to fire). Calls are serialized through
-  /// the same mutex as progress callbacks; `chunk` and `fault_index`
-  /// are translated to this driver's global chunk/fault numbering, so
-  /// one sink (e.g. a RunStore) can persist every shard's snapshots
-  /// into a single log. A sink that throws aborts the run.
-  void set_checkpoint_sink(CheckpointSink* sink) noexcept {
-    checkpoint_ = sink;
-  }
-
-  /// Resumes from per-chunk snapshots previously emitted through a
-  /// checkpoint sink (global numbering, at most one per chunk; chunks
-  /// without a snapshot start from frame 0). The caller must recreate
-  /// the original partition: same fault list, same initial statuses,
-  /// same chunk_size. run() validates each snapshot's fault set
-  /// against the partition and throws std::invalid_argument on any
-  /// mismatch. Thread count may differ from the original run — the
-  /// merged result is still bit-identical.
-  void set_resume(std::vector<ChunkCheckpoint> chunks) {
-    resume_ = std::move(chunks);
-  }
-
-  /// Every-frame constant nets to tie in every shard's symbolic
-  /// true-value simulator (see HybridFaultSim::set_tied_constants;
-  /// empty = none). Bit-identical by OBDD canonicity, per shard.
-  void set_tied_constants(std::vector<ConstVal> tied) {
-    tied_ = std::move(tied);
-  }
-
-  /// Supplies a pre-built trimming plan in this fault list's global
-  /// indexing (see HybridFaultSim::set_trim_plan); the driver slices
-  /// it per chunk. Without it a structural plan is built once when
-  /// config.hybrid.trim is on. Ignored when trimming is off.
-  void set_trim_plan(TrimPlan plan);
-
-  /// Supplies a pre-built s-graph plan in this fault list's global
-  /// indexing (see HybridFaultSim::set_sgraph_plan); the driver slices
-  /// it per chunk and folds its horizons into the shard assignment.
-  /// Without it a plan is built once when config.hybrid.sgraph is on.
-  /// Ignored when the pass is off.
-  void set_sgraph_plan(SgraphPlan plan);
-
-  /// Thread count after resolving 0 to the hardware default.
-  [[nodiscard]] std::size_t resolved_threads() const noexcept;
-  /// Shard size after resolving 0 to kDefaultChunkSize.
-  [[nodiscard]] std::size_t resolved_chunk_size() const noexcept;
-
-  [[nodiscard]] HybridResult run(
-      const std::vector<std::vector<Val3>>& sequence);
-
- private:
-  const Netlist* netlist_;
-  std::vector<Fault> faults_;
-  ParallelSymConfig config_;
-  std::vector<FaultStatus> initial_status_;
-  ProgressSink* progress_ = nullptr;
-  CheckpointSink* checkpoint_ = nullptr;
-  obs::Telemetry* telemetry_ = nullptr;
-  std::vector<ChunkCheckpoint> resume_;
-  std::vector<ConstVal> tied_;
-  std::optional<TrimPlan> trim_plan_;
-  std::optional<SgraphPlan> sgraph_plan_;
-};
+/// No witnesses: set_collect_witnesses is not forwarded to the shards.
+///
+/// The merged HybridResult holds per-fault status/detect_frame in the
+/// engine's fault order, counters summed over shards (each shard walks
+/// the whole sequence, so frame counters scale with the shard count),
+/// the max peak_live_nodes and the OR of used_fallback.
+[[nodiscard]] HybridResult run_sharded(
+    const HybridFaultSim& engine,
+    const std::vector<std::vector<Val3>>& sequence, std::size_t threads,
+    std::size_t chunk_size, std::vector<ChunkCheckpoint> resume = {});
 
 }  // namespace motsim
 

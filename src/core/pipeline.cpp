@@ -54,6 +54,14 @@ PipelineResult run_pipeline(const Netlist& netlist,
                             const PipelineConfig& config,
                             ProgressSink* progress,
                             CheckpointSink* checkpoint) {
+  // A symbolic configuration the circuit cannot hold fails before any
+  // stage runs, not after the three-valued stage.
+  if (config.run_symbolic) {
+    if (const auto ok = check_hybrid_config(netlist, config.hybrid);
+        !ok.has_value()) {
+      throw std::invalid_argument(ok.error());
+    }
+  }
   PipelineResult result;
   result.detect_frame.assign(faults.size(), 0);
   obs::Telemetry* const telemetry = config.telemetry;
@@ -162,9 +170,8 @@ PipelineResult run_pipeline(const Netlist& netlist,
           obs::open_span(telemetry, "plan.trim");
       trim_plan = build_trim_plan(*eng, faults);
     }
-    // S-graph plan for the MOT/rMOT -> SOT downgrade, built once here
-    // so serial and parallel runs (and every shard) share it; either
-    // engine would derive the identical plan on its own.
+    // S-graph plan for the MOT/rMOT -> SOT downgrade, built here for
+    // its SCC count; the engine would derive the identical plan itself.
     std::optional<SgraphPlan> sgraph_plan;
     if (config.hybrid.sgraph) {
       const obs::SpanTracer::Span plan_span =
@@ -182,32 +189,18 @@ PipelineResult run_pipeline(const Netlist& netlist,
                               sgraph_plan->finite_horizon_count()),
            obs::LogField::u64("faults", faults.size())});
     }
-    HybridResult rs;
-    if (config.threads == 1) {
-      HybridFaultSim sym(netlist, faults, config.hybrid);
-      sym.set_initial_status(leftover);
-      sym.set_progress(progress);
-      sym.set_checkpoint_sink(checkpoint);
-      sym.set_telemetry(telemetry);
-      if (!tied.empty()) sym.set_tied_constants(tied);
-      if (trim_plan) sym.set_trim_plan(*trim_plan);
-      if (sgraph_plan) sym.set_sgraph_plan(*sgraph_plan);
-      rs = sym.run(sequence);
-    } else {
-      ParallelSymConfig pc;
-      pc.hybrid = config.hybrid;
-      pc.threads = config.threads;
-      pc.chunk_size = config.chunk_size;
-      ParallelSymSim sym(netlist, faults, pc);
-      sym.set_initial_status(leftover);
-      sym.set_progress(progress);
-      sym.set_checkpoint_sink(checkpoint);
-      sym.set_telemetry(telemetry);
-      if (!tied.empty()) sym.set_tied_constants(tied);
-      if (trim_plan) sym.set_trim_plan(*trim_plan);
-      if (sgraph_plan) sym.set_sgraph_plan(*sgraph_plan);
-      rs = sym.run(sequence);
-    }
+    HybridFaultSim engine(netlist, faults, config.hybrid);
+    engine.set_initial_status(std::move(leftover));
+    engine.set_progress(progress);
+    engine.set_checkpoint_sink(checkpoint);
+    engine.set_telemetry(telemetry);
+    if (!tied.empty()) engine.set_tied_constants(std::move(tied));
+    if (trim_plan) engine.set_trim_plan(std::move(*trim_plan));
+    if (sgraph_plan) engine.set_sgraph_plan(std::move(*sgraph_plan));
+    const HybridResult rs =
+        config.threads == 1
+            ? engine.run(sequence)
+            : run_sharded(engine, sequence, config.threads, config.chunk_size);
     result.seconds_symbolic = timer.elapsed_seconds();
     finish_stage(telemetry, progress, span, "symbolic",
                  result.seconds_symbolic);

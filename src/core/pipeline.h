@@ -16,11 +16,9 @@ namespace motsim {
 
 /// Configuration of the full fault-simulation pipeline of the paper:
 /// ID_X-red -> three-valued simulation -> symbolic simulation of the
-/// remainder under the chosen observation strategy.
-///
-/// Compatibility note: new code should prefer the flat SimOptions
-/// (core/options.h); this struct remains as a thin wrapper (and the
-/// internal representation) for one release.
+/// remainder under the chosen observation strategy. The engine-level
+/// representation of SimOptions (front ends build a SimOptions and
+/// convert it with to_pipeline_config()).
 struct PipelineConfig {
   /// Run the sequence-independent static analysis before every other
   /// stage (see SimOptions::analysis).
@@ -33,11 +31,11 @@ struct PipelineConfig {
   Sim3Backend sim3_backend = default_sim3_backend();
   /// Skip the symbolic stage entirely (pure X01 run).
   bool run_symbolic = true;
-  /// Worker threads of the symbolic stage: 1 = the serial
-  /// HybridFaultSim (exactly the historical path), 0 = one per
-  /// hardware thread, N >= 2 = fault-sharded ParallelSymSim. Results
-  /// are bit-identical for every N >= 2 and 0; see
-  /// core/parallel_sym_sim.h for when they match the serial engine.
+  /// Worker threads of the symbolic stage: 1 = HybridFaultSim::run,
+  /// unsharded; 0 = one per hardware thread and N >= 2 = run_sharded
+  /// with that many workers. Results are bit-identical for every
+  /// N >= 2 and 0; see core/parallel_sym_sim.h for when they match the
+  /// unsharded run.
   std::size_t threads = 1;
   /// Shard size of the parallel driver (0 = default); ignored when
   /// `threads == 1`.
@@ -124,6 +122,10 @@ struct PipelineResult {
 /// checkpointed *campaigns* — persistence, resume, incremental
 /// extension — live in store/campaign.h, which bypasses the
 /// three-valued stage for exact resumability.
+///
+/// With `config.run_symbolic`, a `config.hybrid` that
+/// check_hybrid_config rejects throws std::invalid_argument before any
+/// stage runs.
 [[nodiscard]] PipelineResult run_pipeline(const Netlist& netlist,
                                           const std::vector<Fault>& faults,
                                           const TestSequence& sequence,

@@ -8,14 +8,14 @@ namespace motsim {
 
 /// Observer interface for a running fault simulation.
 ///
-/// HybridFaultSim and ParallelSymSim accept a ProgressSink pointer and
-/// invoke it from the simulation loop; the default (nullptr) costs one
-/// branch per event and allocates nothing, so the hot path is
-/// unchanged when nobody is listening. Every callback has an empty
+/// HybridFaultSim accepts a ProgressSink pointer and invokes it from
+/// the simulation loop, also in every run_sharded shard; the default
+/// (nullptr) costs one branch per event and allocates nothing, so the
+/// hot path is unchanged when nobody is listening. Every callback has an empty
 /// default body — override only what you need.
 ///
 /// Threading: HybridFaultSim calls the sink from the thread that runs
-/// run(). ParallelSymSim serializes all callbacks through one mutex
+/// run(). run_sharded serializes all callbacks through one mutex
 /// and translates fault indices to the caller's (global) fault list,
 /// so a sink never needs its own locking; callbacks from different
 /// chunks may interleave in any order between frames.

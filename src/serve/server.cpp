@@ -44,6 +44,16 @@ const char* outcome_of(const Response& response) noexcept {
   return "ok";
 }
 
+/// A response as it goes on the wire.
+Frame to_frame(const Response& response) {
+  return Frame{frame_type_of(response), encode_response(response)};
+}
+
+/// Frame header (length + type) plus payload — what the peer reads.
+std::size_t wire_size(const Frame& frame) noexcept {
+  return frame.payload.size() + 5;
+}
+
 /// Queue-wait histogram buckets — same shape as the service-time
 /// histogram in serve/service.cpp so the two are comparable.
 const std::vector<double>& queue_wait_bounds() {
@@ -195,13 +205,10 @@ void Server::accept_loop() {
   }
 }
 
-std::size_t Server::send_response(Connection& conn,
-                                  const Response& response) {
-  if (conn.broken.load(std::memory_order_acquire)) return 0;
-  const std::string payload = encode_response(response);
-  const FrameType type = frame_type_of(response);
+void Server::send_frame(Connection& conn, const Frame& frame) {
+  if (conn.broken.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(conn.write_mutex);
-  const auto wrote = write_frame(conn.fd.get(), type, payload);
+  const auto wrote = write_frame(conn.fd.get(), frame.type, frame.payload);
   if (!wrote.has_value()) {
     conn.broken.store(true, std::memory_order_release);
     if (telemetry_ != nullptr) {
@@ -209,10 +216,11 @@ std::size_t Server::send_response(Connection& conn,
     }
     obs::log_event(telemetry_, obs::LogLevel::Warn, "serve.conn.write_error",
                    {obs::LogField::u64("conn", conn.id)}, wrote.error());
-    return 0;
   }
-  // Frame header (length + type) plus payload — what the peer reads.
-  return payload.size() + 5;
+}
+
+void Server::send_response(Connection& conn, const Response& response) {
+  send_frame(conn, to_frame(response));
 }
 
 void Server::connection_loop(std::shared_ptr<Connection> conn) {
@@ -306,16 +314,19 @@ void Server::connection_loop(std::shared_ptr<Connection> conn) {
       Stopwatch served;
       Response response = service_.handle(*request);
       const double service_s = served.elapsed_seconds();
-      const std::size_t bytes_out = send_response(*conn, response);
+      // Logged before the write: once the client holds the reply it
+      // may send its next request, which must find this line logged.
+      const Frame frame = to_frame(response);
       obs::log_event(
           telemetry_, obs::LogLevel::Info, "serve.request",
           {obs::LogField::str("type", type_name),
            obs::LogField::u64("id", response_id(response)),
            obs::LogField::u64("bytes_in", bytes_in),
-           obs::LogField::u64("bytes_out", bytes_out),
+           obs::LogField::u64("bytes_out", wire_size(frame)),
            obs::LogField::f64("queue_s", queue_s),
            obs::LogField::f64("service_s", service_s),
            obs::LogField::str("outcome", outcome_of(response))});
+      send_frame(*conn, frame);
       if (service_s > config_.slow_request_seconds) {
         obs::log_event(telemetry_, obs::LogLevel::Warn,
                        "serve.request.slow",
@@ -327,28 +338,21 @@ void Server::connection_loop(std::shared_ptr<Connection> conn) {
     });
     if (!admitted) {
       const obs::ScopedTraceId scope(trace);
-      if (queue_.draining()) {
-        ErrorResponse rejected{id, ErrorCode::ShuttingDown,
-                               "server is draining"};
-        rejected.trace = trace;
-        const std::size_t bytes_out = send_response(*conn, rejected);
-        obs::log_event(telemetry_, obs::LogLevel::Warn, "serve.request",
-                       {obs::LogField::str("type", type_name),
-                        obs::LogField::u64("id", id),
-                        obs::LogField::u64("bytes_in", bytes_in),
-                        obs::LogField::u64("bytes_out", bytes_out),
-                        obs::LogField::str("outcome", "draining")});
-      } else {
-        BusyResponse busy{id};
-        busy.trace = trace;
-        const std::size_t bytes_out = send_response(*conn, busy);
-        obs::log_event(telemetry_, obs::LogLevel::Warn, "serve.request",
-                       {obs::LogField::str("type", type_name),
-                        obs::LogField::u64("id", id),
-                        obs::LogField::u64("bytes_in", bytes_in),
-                        obs::LogField::u64("bytes_out", bytes_out),
-                        obs::LogField::str("outcome", "busy")});
-      }
+      const bool draining = queue_.draining();
+      Response rejected =
+          draining ? Response{ErrorResponse{id, ErrorCode::ShuttingDown,
+                                            "server is draining"}}
+                   : Response{BusyResponse{id}};
+      set_response_trace(rejected, trace);
+      const Frame frame = to_frame(rejected);
+      obs::log_event(telemetry_, obs::LogLevel::Warn, "serve.request",
+                     {obs::LogField::str("type", type_name),
+                      obs::LogField::u64("id", id),
+                      obs::LogField::u64("bytes_in", bytes_in),
+                      obs::LogField::u64("bytes_out", wire_size(frame)),
+                      obs::LogField::str("outcome",
+                                         draining ? "draining" : "busy")});
+      send_frame(*conn, frame);
     }
   }
   obs::log_event(telemetry_, obs::LogLevel::Info, "serve.conn.close",

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "serve/framing.h"
 #include "serve/http.h"
 #include "serve/request_queue.h"
 #include "serve/service.h"
@@ -104,9 +105,12 @@ class Server {
   void accept_loop();
   void connection_loop(std::shared_ptr<Connection> conn);
   void http_loop();
-  /// Returns the encoded frame size actually written (0 when skipped
-  /// because the connection broke) — the access log's bytes_out.
-  std::size_t send_response(Connection& conn, const Response& response);
+  /// Writes one frame unless the connection already broke; a failed
+  /// write marks it broken and logs serve.conn.write_error.
+  void send_frame(Connection& conn, const Frame& frame);
+  /// Encodes `response` and sends it (the replies that get no
+  /// access-log line).
+  void send_response(Connection& conn, const Response& response);
 
   ServerConfig config_;
   obs::Telemetry* const telemetry_;

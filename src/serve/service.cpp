@@ -128,6 +128,11 @@ Response Service::handle_fault_sim(const FaultSimRequest& req) {
   options.telemetry = telemetry_;
   const auto checked = options.validate();
   if (!checked.has_value()) return bad_request(req.id, checked.error());
+  // validate() cannot see the circuit; the engine's own check can.
+  if (checked->run_symbolic) {
+    const auto fits = check_hybrid_config(nl, checked->to_hybrid_config());
+    if (!fits.has_value()) return bad_request(req.id, fits.error());
+  }
 
   Rng rng(options.seed);
   const TestSequence sequence = random_sequence(

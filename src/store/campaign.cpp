@@ -198,13 +198,10 @@ Expected<CampaignResult, std::string> simulate_and_finish(
     std::optional<Sim3Backend> sim3_backend = std::nullopt) {
   store.set_telemetry(telemetry);
   const SimOptions& opts = store.manifest().options;
-  ParallelSymConfig pc;
-  pc.hybrid = opts.to_hybrid_config();
-  pc.threads = threads.value_or(opts.threads);
-  pc.chunk_size = opts.chunk_size;
+  HybridConfig config = opts.to_hybrid_config();
   // Like the thread count, the fallback-window backend never affects
   // results, so an invocation may override what the manifest recorded.
-  if (sim3_backend.has_value()) pc.hybrid.sim3_backend = *sim3_backend;
+  if (sim3_backend.has_value()) config.sim3_backend = *sim3_backend;
 
   CampaignResult result;
   result.resumed = resumed;
@@ -222,19 +219,18 @@ Expected<CampaignResult, std::string> simulate_and_finish(
   StoreCheckpointSink ck_sink(store, tap, &clock, telemetry);
   StoreProgressSink ev_sink(store, progress, &clock, telemetry);
   try {
-    ParallelSymSim sym(netlist, faults, pc);
-    sym.set_initial_status(std::move(initial_status));
-    sym.set_progress(&ev_sink);
-    sym.set_checkpoint_sink(&ck_sink);
-    sym.set_telemetry(telemetry);
-    if (!resume.empty()) sym.set_resume(std::move(resume));
+    HybridFaultSim engine(netlist, faults, config);
+    engine.set_initial_status(std::move(initial_status));
+    engine.set_progress(&ev_sink);
+    engine.set_checkpoint_sink(&ck_sink);
+    engine.set_telemetry(telemetry);
     if (opts.analysis) {
       // Recomputed from the netlist on every entry point (run, resume,
       // extend) — the manifest's analysis flag, not the invocation,
       // decides, so a resumed run ties exactly what the original did.
       const ImplicationEngine eng(netlist);
       if (eng.tied_constant_count() != 0) {
-        sym.set_tied_constants(eng.tied_constants());
+        engine.set_tied_constants(eng.tied_constants());
       }
       if (telemetry != nullptr) {
         telemetry->metrics.counter("analysis.implications_learned")
@@ -245,7 +241,8 @@ Expected<CampaignResult, std::string> simulate_and_finish(
             .add(eng.tied_constant_count());
       }
     }
-    result.sym = sym.run(sequence);
+    result.sym = run_sharded(engine, sequence, threads.value_or(opts.threads),
+                             opts.chunk_size, std::move(resume));
   } catch (const std::exception& e) {
     // The store keeps every checkpoint persisted before the failure;
     // a later resume_campaign continues from them.
@@ -285,6 +282,12 @@ Expected<CampaignResult, std::string> run_campaign(
     return Err{"campaigns require the symbolic engine "
                "(run_symbolic=false / --no-symbolic is incompatible with "
                "--store)"};
+  }
+  // Before any store file exists: a store whose engine cannot start
+  // could never be resumed either.
+  if (const auto ok = check_hybrid_config(netlist, opts.to_hybrid_config());
+      !ok.has_value()) {
+    return Err{ok.error()};
   }
   if (sequence.empty()) {
     return Err{"campaign sequence must not be empty"};

@@ -79,7 +79,7 @@ struct CampaignResult {
 ///  - There is no standalone three-valued stage: every live fault goes
 ///    through the hybrid symbolic engine (whose fallback windows
 ///    provide the three-valued machinery when space demands it).
-///  - The symbolic stage always runs through ParallelSymSim — also for
+///  - The symbolic stage always runs through run_sharded — also for
 ///    threads == 1 — so the chunk partition, and therefore every
 ///    result, is identical for every thread count.
 ///
@@ -95,8 +95,9 @@ struct CampaignResult {
 
 /// Starts a fresh campaign in `store_dir` (created; must not already
 /// hold a campaign). `options.checkpoint_interval == 0` is replaced by
-/// kDefaultCampaignInterval. Requires run_symbolic and a fully
-/// specified (X-free), non-empty sequence.
+/// kDefaultCampaignInterval. Requires run_symbolic, a symbolic
+/// configuration check_hybrid_config accepts (checked before the store
+/// is created) and a fully specified (X-free), non-empty sequence.
 [[nodiscard]] Expected<CampaignResult, std::string> run_campaign(
     const Netlist& netlist, const std::vector<Fault>& faults,
     const TestSequence& sequence, const SimOptions& options,

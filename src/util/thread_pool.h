@@ -32,7 +32,7 @@ struct ThreadPoolStats {
 /// blocks until every submitted task has finished. Tasks must not
 /// throw — an escaped exception terminates the process (workers run
 /// them bare); callers that can fail should capture errors into their
-/// own state (see ParallelSymSim for the pattern).
+/// own state (see run_sharded in core/parallel_sym_sim.cpp).
 ///
 /// The pool itself is thread-safe; the objects a task touches are the
 /// task's own business. In this codebase the cardinal rule is one

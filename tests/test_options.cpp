@@ -118,29 +118,35 @@ TEST(SimOptions, HybridConfigMapping) {
   EXPECT_EQ(h.bdd.cache_size_log2, 18u);
 }
 
-TEST(SimOptions, PipelineConfigRoundTrip) {
+TEST(SimOptions, PipelineConfigMapping) {
   SimOptions o;
+  o.analysis = true;
   o.run_xred = false;
-  o.sim3_backend = Sim3Backend::BitPar;
-  o.run_symbolic = true;
+  o.sim3_backend = Sim3Backend::Event;
+  o.run_symbolic = false;
   o.strategy = Strategy::Sot;
-  o.layout = VarLayout::Blocked;
-  o.node_limit = 777;
-  o.fallback_frames = 3;
-  o.hard_limit_factor = 2;
+  o.checkpoint_interval = 9;
+  o.trim = false;
+  o.sgraph = false;
   o.threads = 4;
   o.chunk_size = 32;
   o.bdd_initial_capacity = 1u << 10;
-  o.bdd_cache_size_log2 = 14;
   o.bdd_auto_gc_floor = 1u << 12;
 
-  const SimOptions back =
-      SimOptions::from_pipeline_config(o.to_pipeline_config());
-  // `seed` is the one field PipelineConfig never carried; everything
-  // else must survive the round trip.
-  SimOptions expected = o;
-  expected.seed = SimOptions{}.seed;
-  EXPECT_EQ(back, expected);
+  const PipelineConfig p = o.to_pipeline_config();
+  EXPECT_TRUE(p.analysis);
+  EXPECT_FALSE(p.run_xred);
+  EXPECT_EQ(p.sim3_backend, Sim3Backend::Event);
+  EXPECT_EQ(p.hybrid.sim3_backend, Sim3Backend::Event);
+  EXPECT_FALSE(p.run_symbolic);
+  EXPECT_EQ(p.threads, 4u);
+  EXPECT_EQ(p.chunk_size, 32u);
+  EXPECT_EQ(p.hybrid.strategy, Strategy::Sot);
+  EXPECT_EQ(p.hybrid.checkpoint_interval, 9u);
+  EXPECT_FALSE(p.hybrid.trim);
+  EXPECT_FALSE(p.hybrid.sgraph);
+  EXPECT_EQ(p.hybrid.bdd.initial_capacity, 1u << 10);
+  EXPECT_EQ(p.hybrid.bdd.auto_gc_floor, 1u << 12);
 }
 
 TEST(SimOptions, DefaultsMatchLegacyDefaults) {

@@ -12,6 +12,8 @@
 #include <atomic>
 #include <mutex>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "bench_data/registry.h"
 #include "bench_data/s27.h"
@@ -74,25 +76,23 @@ TEST(ThreadPool, DestructorDrainsPendingTasks) {
 }
 
 // ---------------------------------------------------------------------------
-// ParallelSymSim
+// run_sharded
 // ---------------------------------------------------------------------------
 
-HybridResult run_sharded(const Netlist& nl, const std::vector<Fault>& faults,
-                         const TestSequence& seq, std::size_t threads,
-                         std::size_t node_limit = 30000,
-                         std::size_t chunk_size = 0,
-                         ProgressSink* sink = nullptr) {
-  ParallelSymConfig cfg;
-  cfg.hybrid.strategy = Strategy::Mot;
-  cfg.hybrid.node_limit = node_limit;
-  cfg.threads = threads;
-  cfg.chunk_size = chunk_size;
-  ParallelSymSim sim(nl, faults, cfg);
-  if (sink != nullptr) sim.set_progress(sink);
-  return sim.run(seq);
+HybridResult sharded(const Netlist& nl, const std::vector<Fault>& faults,
+                     const TestSequence& seq, std::size_t threads,
+                     std::size_t node_limit = 30000,
+                     std::size_t chunk_size = 0,
+                     ProgressSink* sink = nullptr) {
+  HybridConfig cfg;
+  cfg.strategy = Strategy::Mot;
+  cfg.node_limit = node_limit;
+  HybridFaultSim engine(nl, faults, cfg);
+  engine.set_progress(sink);
+  return run_sharded(engine, seq, threads, chunk_size);
 }
 
-TEST(ParallelSymSim, MatchesSerialEngineWithoutFallback) {
+TEST(RunSharded, MatchesSerialEngineWithoutFallback) {
   const Netlist nl = make_benchmark("s298");
   const CollapsedFaultList faults(nl);
   Rng rng(7);
@@ -105,14 +105,14 @@ TEST(ParallelSymSim, MatchesSerialEngineWithoutFallback) {
   ASSERT_FALSE(rs.used_fallback) << "raise node_limit: this test needs a "
                                     "fallback-free serial baseline";
 
-  const HybridResult rp = run_sharded(nl, faults.faults(), seq, 4);
+  const HybridResult rp = sharded(nl, faults.faults(), seq, 4);
   EXPECT_FALSE(rp.used_fallback);
   EXPECT_EQ(rp.status, rs.status);
   EXPECT_EQ(rp.detect_frame, rs.detect_frame);
   EXPECT_EQ(rp.detected_count, rs.detected_count);
 }
 
-TEST(ParallelSymSim, BitIdenticalAcrossThreadCounts) {
+TEST(RunSharded, BitIdenticalAcrossThreadCounts) {
   // s27 plus three synthetic roster circuits, per the determinism
   // contract: thread count must never influence any per-fault result.
   for (const char* name : {"s27", "s208.1", "s298", "s344"}) {
@@ -121,9 +121,9 @@ TEST(ParallelSymSim, BitIdenticalAcrossThreadCounts) {
     Rng rng(13);
     const TestSequence seq = random_sequence(nl, 32, rng);
 
-    const HybridResult r1 = run_sharded(nl, faults.faults(), seq, 1);
+    const HybridResult r1 = sharded(nl, faults.faults(), seq, 1);
     for (std::size_t threads : {2u, 4u, 8u}) {
-      const HybridResult rn = run_sharded(nl, faults.faults(), seq, threads);
+      const HybridResult rn = sharded(nl, faults.faults(), seq, threads);
       EXPECT_EQ(rn.status, r1.status) << name << " @" << threads;
       EXPECT_EQ(rn.detect_frame, r1.detect_frame) << name << " @" << threads;
       EXPECT_EQ(rn.detected_count, r1.detected_count);
@@ -135,7 +135,7 @@ TEST(ParallelSymSim, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelSymSim, BitIdenticalAcrossThreadCountsUnderForcedFallback) {
+TEST(RunSharded, BitIdenticalAcrossThreadCountsUnderForcedFallback) {
   // A tiny node limit forces three-valued windows in (nearly) every
   // shard; the window schedule is per shard and the partition is
   // thread-count-independent, so results must still match exactly.
@@ -145,12 +145,12 @@ TEST(ParallelSymSim, BitIdenticalAcrossThreadCountsUnderForcedFallback) {
   const TestSequence seq = random_sequence(nl, 48, rng);
 
   const HybridResult r1 =
-      run_sharded(nl, faults.faults(), seq, 1, /*node_limit=*/150);
+      sharded(nl, faults.faults(), seq, 1, /*node_limit=*/150);
   ASSERT_TRUE(r1.used_fallback) << "node_limit=150 was expected to force "
                                    "fallback windows";
   for (std::size_t threads : {2u, 4u, 8u}) {
     const HybridResult rn =
-        run_sharded(nl, faults.faults(), seq, threads, /*node_limit=*/150);
+        sharded(nl, faults.faults(), seq, threads, /*node_limit=*/150);
     EXPECT_EQ(rn.status, r1.status) << "@" << threads;
     EXPECT_EQ(rn.detect_frame, r1.detect_frame) << "@" << threads;
     EXPECT_EQ(rn.fallback_windows, r1.fallback_windows) << "@" << threads;
@@ -160,7 +160,7 @@ TEST(ParallelSymSim, BitIdenticalAcrossThreadCountsUnderForcedFallback) {
   }
 }
 
-TEST(ParallelSymSim, ChunkSizeIrrelevantWithoutFallback) {
+TEST(RunSharded, ChunkSizeIrrelevantWithoutFallback) {
   // Without memory pressure a fault's outcome is independent of its
   // shard-mates, so the partition granularity cannot matter either.
   const Netlist nl = make_benchmark("s344");
@@ -170,15 +170,15 @@ TEST(ParallelSymSim, ChunkSizeIrrelevantWithoutFallback) {
 
   // Generous limit: the test's premise is that no shard falls back.
   const HybridResult a =
-      run_sharded(nl, faults.faults(), seq, 4, 1'000'000, /*chunk_size=*/16);
+      sharded(nl, faults.faults(), seq, 4, 1'000'000, /*chunk_size=*/16);
   const HybridResult b =
-      run_sharded(nl, faults.faults(), seq, 4, 1'000'000, /*chunk_size=*/64);
+      sharded(nl, faults.faults(), seq, 4, 1'000'000, /*chunk_size=*/64);
   ASSERT_FALSE(a.used_fallback);
   EXPECT_EQ(a.status, b.status);
   EXPECT_EQ(a.detect_frame, b.detect_frame);
 }
 
-TEST(ParallelSymSim, RespectsInitialStatusAndMergesCounters) {
+TEST(RunSharded, RespectsInitialStatusAndMergesCounters) {
   const Netlist nl = make_benchmark("s208.1");
   const CollapsedFaultList faults(nl);
   Rng rng(23);
@@ -191,13 +191,10 @@ TEST(ParallelSymSim, RespectsInitialStatusAndMergesCounters) {
     initial[i] = FaultStatus::DetectedSim3;
   }
 
-  ParallelSymConfig cfg;
-  cfg.hybrid.strategy = Strategy::Mot;
-  cfg.threads = 4;
-  cfg.chunk_size = 8;
-  ParallelSymSim sim(nl, faults.faults(), cfg);
-  sim.set_initial_status(initial);
-  const HybridResult r = sim.run(seq);
+  HybridFaultSim engine(nl, faults.faults(), HybridConfig{});
+  engine.set_initial_status(initial);
+  const HybridResult r =
+      run_sharded(engine, seq, /*threads=*/4, /*chunk_size=*/8);
 
   std::size_t newly_detected = 0;
   for (std::size_t i = 0; i < faults.size(); ++i) {
@@ -217,34 +214,40 @@ TEST(ParallelSymSim, RespectsInitialStatusAndMergesCounters) {
   EXPECT_GE(r.symbolic_frames + r.three_valued_frames, seq.size());
 }
 
-TEST(ParallelSymSim, AllFaultsPreclassifiedIsANoop) {
+TEST(RunSharded, AllFaultsPreclassifiedIsANoop) {
   const Netlist nl = make_s27();
   const CollapsedFaultList faults(nl);
   std::vector<FaultStatus> initial(faults.size(), FaultStatus::DetectedSim3);
-  ParallelSymConfig cfg;
-  cfg.threads = 4;
-  ParallelSymSim sim(nl, faults.faults(), cfg);
-  sim.set_initial_status(initial);
-  const HybridResult r = sim.run(sequence_from_strings({"0000", "1111"}));
+  HybridFaultSim engine(nl, faults.faults());
+  engine.set_initial_status(initial);
+  const HybridResult r = run_sharded(
+      engine, sequence_from_strings({"0000", "1111"}), /*threads=*/4, 0);
   EXPECT_EQ(r.status, initial);
   EXPECT_EQ(r.detected_count, 0u);
   EXPECT_EQ(r.symbolic_frames, 0u);
 }
 
-TEST(ParallelSymSim, RejectsBadConfigAndWrongStatusSize) {
+TEST(RunSharded, RejectsWrongStatusSizeAndAnEngineCarryingItsOwnResume) {
   const Netlist nl = make_s27();
   const CollapsedFaultList faults(nl);
-  ParallelSymConfig bad;
-  bad.hybrid.node_limit = 0;
-  EXPECT_THROW(ParallelSymSim(nl, faults.faults(), bad),
+  HybridConfig cfg;
+  cfg.checkpoint_interval = 1;
+  HybridFaultSim engine(nl, faults.faults(), cfg);
+  EXPECT_THROW(engine.set_initial_status({FaultStatus::Undetected}),
                std::invalid_argument);
-
-  ParallelSymSim sim(nl, faults.faults(), {});
-  EXPECT_THROW(sim.set_initial_status({FaultStatus::Undetected}),
+  ChunkCheckpoint ck;
+  ck.fault_index.resize(faults.size());
+  ck.status.assign(faults.size(), FaultStatus::Undetected);
+  ck.detect_frame.assign(faults.size(), 0);
+  ck.diff.resize(faults.size());
+  ck.good_state.assign(nl.dff_count(), Val3::X);
+  engine.set_resume(ck);
+  EXPECT_THROW((void)run_sharded(engine, sequence_from_strings({"0000"}),
+                                 2, 0),
                std::invalid_argument);
 }
 
-// Collects every callback; ParallelSymSim serializes them, so plain
+// Collects every callback; run_sharded serializes them, so plain
 // members suffice.
 class RecordingSink final : public ProgressSink {
  public:
@@ -257,21 +260,23 @@ class RecordingSink final : public ProgressSink {
     detected.insert(fault_index);
     EXPECT_GT(frame, 0u);
   }
+  void on_stage(const char*, double) override { ++stages; }
 
   std::size_t frames = 0;
   std::size_t last_frame = 0;
   std::size_t windows = 0;
+  std::size_t stages = 0;
   std::set<std::size_t> detected;
 };
 
-TEST(ParallelSymSim, ProgressCallbacksUseGlobalFaultIndices) {
+TEST(RunSharded, ProgressCallbacksUseGlobalFaultIndices) {
   const Netlist nl = make_benchmark("s298");
   const CollapsedFaultList faults(nl);
   Rng rng(29);
   const TestSequence seq = random_sequence(nl, 32, rng);
 
   RecordingSink sink;
-  const HybridResult r = run_sharded(nl, faults.faults(), seq, 4, 30000,
+  const HybridResult r = sharded(nl, faults.faults(), seq, 4, 30000,
                                      /*chunk_size=*/16, &sink);
 
   // One on_fault_detected per detected fault, reported with the
@@ -314,6 +319,33 @@ TEST(PipelineThreads, ShardedStageMatchesSerialOnRegistryCircuits) {
       EXPECT_EQ(rn.detected_symbolic, r1.detected_symbolic);
     }
   }
+}
+
+TEST(PipelineThreads, TooSmallNodeLimitThrowsBeforeAnyCallback) {
+  // s298's 14 flip-flops need node_limit >= 2 at the default factor 8.
+  // The sharded stage must reject the limit up front, with the
+  // engine's own message, not from inside a worker after the X01
+  // stage already ran.
+  const Netlist nl = make_benchmark("s298");
+  const CollapsedFaultList faults(nl);
+  Rng rng(41);
+  const TestSequence seq = random_sequence(nl, 16, rng);
+  PipelineConfig cfg;
+  cfg.threads = 2;
+  cfg.hybrid.node_limit = 1;
+  RecordingSink sink;
+  try {
+    (void)run_pipeline(nl, faults.faults(), seq, cfg, &sink);
+    FAIL() << "node_limit 1 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("smallest node_limit that works "
+                                         "is 2"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(sink.stages, 0u);
+  EXPECT_EQ(sink.frames, 0u);
+  EXPECT_TRUE(sink.detected.empty());
 }
 
 TEST(PipelineThreads, ThreadsZeroUsesHardwareDefault) {

@@ -516,10 +516,32 @@ TEST(Service, SemanticErrorsComeBackTyped) {
     req.options.node_limit = 1;
     const Response resp = service.handle(Request{req});
     ASSERT_TRUE(std::holds_alternative<ErrorResponse>(resp));
+    EXPECT_EQ(std::get<ErrorResponse>(resp).code, ErrorCode::BadRequest);
     EXPECT_NE(std::get<ErrorResponse>(resp).message.find(
                   "the smallest node_limit that works is 2"),
               std::string::npos)
         << std::get<ErrorResponse>(resp).message;
+  }
+  // The same limit on the campaign path: rejected before any store
+  // directory is created.
+  {
+    const std::filesystem::path root =
+        std::filesystem::temp_directory_path() /
+        ("motsim_serve_limit_" +
+         std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+    std::filesystem::remove_all(root);
+    Service store_service(4, root.string(), nullptr);
+    FaultSimRequest req;
+    req.id = 35;
+    req.circuit = CircuitRef{CircuitRef::Kind::Roster, "s298"};
+    req.vectors = 16;
+    req.use_store = true;
+    req.options.node_limit = 1;
+    const Response resp = store_service.handle(Request{req});
+    ASSERT_TRUE(std::holds_alternative<ErrorResponse>(resp));
+    EXPECT_EQ(std::get<ErrorResponse>(resp).code, ErrorCode::BadRequest);
+    EXPECT_FALSE(std::filesystem::exists(root));
+    std::filesystem::remove_all(root);
   }
   // Mis-sized tester response.
   {

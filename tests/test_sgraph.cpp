@@ -552,12 +552,8 @@ TEST(SgraphIdentityBench, AcyclicPipelineDowngradesEveryEngine) {
     EXPECT_EQ(rp.mot_downgrades, 0u) << to_cstring(s);
 
     for (std::size_t threads : {2u, 4u}) {
-      ParallelSymConfig pc;
-      pc.hybrid = ample(s, true);
-      pc.threads = threads;
-      pc.chunk_size = 16;
-      ParallelSymSim par(nl, c.faults(), pc);
-      const HybridResult rr = par.run(seq);
+      const HybridFaultSim par(nl, c.faults(), ample(s, true));
+      const HybridResult rr = run_sharded(par, seq, threads, 16);
       expect_same_result(rp, rr, nl, c.faults(), to_cstring(s));
       EXPECT_GT(rr.mot_downgrades, 0u)
           << to_cstring(s) << " threads=" << threads;
@@ -577,12 +573,6 @@ TEST(SgraphPlumbing, MisalignedPlanIsRejected) {
 
   HybridFaultSim hybrid(nl, c.faults(), ample(Strategy::Mot, true));
   EXPECT_THROW(hybrid.set_sgraph_plan(bad), std::invalid_argument);
-
-  ParallelSymConfig pc;
-  pc.hybrid = ample(Strategy::Mot, true);
-  pc.threads = 2;
-  ParallelSymSim par(nl, c.faults(), pc);
-  EXPECT_THROW(par.set_sgraph_plan(bad), std::invalid_argument);
 }
 
 TEST(SgraphPlumbing, SuppliedPlanMatchesSelfBuiltPlan) {

@@ -447,6 +447,26 @@ TEST(CampaignStore, RefusesXInputsEmptySequencesAndNoSymbolic) {
                    .has_value());
 }
 
+TEST(CampaignStore, TooSmallNodeLimitLeavesNoStore) {
+  // s298's 14 flip-flops need node_limit >= 2 at the default factor 8;
+  // no engine could ever start, so no store may be half-created.
+  TempDir tmp("limit");
+  const Netlist nl = make_benchmark("s298");
+  const CollapsedFaultList faults(nl);
+  Rng rng(3);
+  const TestSequence seq = random_sequence(nl, 16, rng);
+  SimOptions opts;
+  opts.node_limit = 1;
+  opts.threads = 2;
+  const auto res =
+      run_campaign(nl, faults.faults(), seq, opts, tmp.sub("camp"));
+  ASSERT_FALSE(res.has_value());
+  EXPECT_NE(res.error().find("the smallest node_limit that works is 2"),
+            std::string::npos)
+      << res.error();
+  EXPECT_FALSE(fs::exists(tmp.sub("camp")));
+}
+
 // ---- fault report ----------------------------------------------------------
 
 TEST(FaultReportJson, EscapesAndValidates) {

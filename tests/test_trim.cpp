@@ -369,12 +369,8 @@ TEST(TrimIdentityBench, S344AllStrategiesAllEngines) {
     // Parallel, every thread count, trimmed: identical to BOTH serial
     // runs (which already match each other).
     for (std::size_t threads : {1u, 2u, 4u}) {
-      ParallelSymConfig pc;
-      pc.hybrid = ample(s, true);
-      pc.threads = threads;
-      pc.chunk_size = 48;
-      ParallelSymSim par(nl, c.faults(), pc);
-      const HybridResult rr = par.run(seq);
+      const HybridFaultSim par(nl, c.faults(), ample(s, true));
+      const HybridResult rr = run_sharded(par, seq, threads, 48);
       expect_same_result(rp, rr, nl, c.faults(), to_cstring(s));
     }
   }
@@ -493,12 +489,6 @@ TEST(TrimPlumbing, MisalignedPlanIsRejected) {
 
   HybridFaultSim hybrid(nl, c.faults(), ample(Strategy::Mot, true));
   EXPECT_THROW(hybrid.set_trim_plan(bad), std::invalid_argument);
-
-  ParallelSymConfig pc;
-  pc.hybrid = ample(Strategy::Mot, true);
-  pc.threads = 2;
-  ParallelSymSim par(nl, c.faults(), pc);
-  EXPECT_THROW(par.set_trim_plan(bad), std::invalid_argument);
 }
 
 TEST(TrimPlumbing, SuppliedPlanMatchesSelfBuiltPlan) {
@@ -520,6 +510,9 @@ TEST(TrimPlumbing, SuppliedPlanMatchesSelfBuiltPlan) {
     supplied.set_trim_plan(enriched);
     const HybridResult rb = supplied.run(seq);
     expect_same_result(ra, rb, nl, faults, to_cstring(s));
+    // The sharded driver slices the supplied plan per shard.
+    const HybridResult rc = run_sharded(supplied, seq, 2, /*chunk_size=*/3);
+    expect_same_result(ra, rc, nl, faults, to_cstring(s));
   }
 }
 

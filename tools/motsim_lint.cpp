@@ -257,7 +257,7 @@ void append_untestable(const Netlist& nl, const ImplicationEngine& eng,
 /// Appends the trimming pass's structural view of the fault list: one
 /// note per cluster of two or more faults sharing a cone-of-influence
 /// signature ("cone.cluster", anchored at the representative fault's
-/// node — these are the shard-mate groups ParallelSymSim's
+/// node — these are the shard-mate groups run_sharded's
 /// cluster-aware assignment packs together) plus one circuit-level
 /// summary ("cone.summary") with the cluster census and the
 /// min/median/max forward-cone sizes over all faults.
