@@ -1,7 +1,12 @@
 // Micro-benchmarks of the OBDD package (google-benchmark): the kernels
 // the symbolic fault simulator leans on — AND/XOR/ITE recursion,
-// composition, the order-preserving rename used by MOT, quantification,
-// garbage collection and the handle registry's copy/move/destroy path.
+// negation and the inverting gates built on it, composition, the
+// order-preserving rename used by MOT, quantification, garbage
+// collection and the handle registry's copy/move/destroy path.
+//
+// Report medians, not single samples:
+//   bdd_microbench --benchmark_repetitions=5 \
+//     --benchmark_report_aggregates_only=true
 
 #include <benchmark/benchmark.h>
 
@@ -77,6 +82,52 @@ void BM_BddIte(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_BddIte);
+
+void BM_BddNot(benchmark::State& state) {
+  // Negation alone: a complement-bit flip plus one handle.
+  BddManager mgr;
+  const auto fs = random_functions(mgr, 24, 64, 13);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(!fs[i % 64]);
+    ++i;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_BddNot);
+
+void BM_BddNegationHeavy(benchmark::State& state) {
+  // The inverting gates of a netlist on BDD operands: NAND, NOR, XNOR
+  // and an inverter per item, every operand and result negated.
+  BddManager mgr;
+  const auto fs = random_functions(mgr, 24, 64, 14);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Bdd& f = fs[i % 64];
+    const Bdd& g = fs[(i + 19) % 64];
+    const Bdd nand = !(f & g);
+    const Bdd nor = !(!f | g);
+    benchmark::DoNotOptimize(!nand.xnor(!nor));
+    ++i;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_BddNegationHeavy);
+
+void BM_BddNandNorChain(benchmark::State& state) {
+  // A chain of alternating NAND and NOR gates over n fresh variables,
+  // built from a new manager each time.
+  const auto n = static_cast<unsigned>(state.range(0));
+  for (auto _ : state) {
+    BddManager mgr;
+    Bdd f = mgr.var(0);
+    for (unsigned v = 1; v < n; ++v) {
+      f = v % 2 != 0 ? !(f & mgr.var(v)) : !(f | mgr.var(v));
+    }
+    benchmark::DoNotOptimize(f.node_count());
+  }
+}
+BENCHMARK(BM_BddNandNorChain)->Arg(64)->Arg(512);
 
 void BM_BddCompose(benchmark::State& state) {
   BddManager mgr;

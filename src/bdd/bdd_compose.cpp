@@ -29,19 +29,22 @@ Bdd BddManager::compose(const Bdd& f, VarIndex v, const Bdd& g) {
 
 NodeId BddManager::compose_rec(NodeId f, VarIndex v, NodeId g) {
   if (f <= kTrueId) return f;
+  // Substitution commutes with negation: compute on the plain edge.
+  const NodeId neg = f & 1u;
+  f ^= neg;
   // Copy the node fields: the recursive calls below may grow the node
   // table and invalidate references into it.
-  const Node n = nodes_[f];
-  if (var2level_[n.var] > var2level_[v]) return f;  // f is below v
+  const Node n = nodes_[slot_of(f)];
+  if (var2level_[n.var] > var2level_[v]) return f ^ neg;  // f is below v
   if (n.var == v) {
     // Children of a v-node cannot depend on v; splice g in directly.
-    return ite_rec(g, n.hi, n.lo);
+    return ite_rec(g, n.hi, n.lo) ^ neg;
   }
 
   // Cache key = (f, g, v): v rides in the `h` slot of the entry.
   NodeId cached;
   const NodeId key_h = static_cast<NodeId>(v);
-  if (cache_lookup(Op::Compose, f, g, key_h, cached)) return cached;
+  if (cache_lookup(Op::Compose, f, g, key_h, cached)) return cached ^ neg;
 
   const NodeId lo = compose_rec(n.lo, v, g);
   const NodeId hi = compose_rec(n.hi, v, g);
@@ -51,7 +54,7 @@ NodeId BddManager::compose_rec(NodeId f, VarIndex v, NodeId g) {
   const NodeId proj = make_node(n.var, kFalseId, kTrueId);
   const NodeId result = ite_rec(proj, hi, lo);
   cache_insert(Op::Compose, f, g, key_h, result);
-  return result;
+  return result ^ neg;
 }
 
 Bdd BddManager::rename(const Bdd& f, const std::vector<VarIndex>& mapping) {
@@ -86,18 +89,21 @@ Bdd BddManager::rename(const Bdd& f, const std::vector<VarIndex>& mapping) {
     (void)max_new;
   }
 
-  // Per-call memo: the mapping varies between calls, so the global
-  // computed cache cannot key it.
+  // Per-call memo over plain edges: the mapping varies between calls,
+  // so the global computed cache cannot key it. Renaming commutes with
+  // negation.
   std::unordered_map<NodeId, NodeId> memo;
   auto rec = [&](auto&& self, NodeId n) -> NodeId {
     if (n <= kTrueId) return n;
-    if (auto it = memo.find(n); it != memo.end()) return it->second;
-    const Node node = nodes_[n];
+    const NodeId neg = n & 1u;
+    n ^= neg;
+    if (auto it = memo.find(n); it != memo.end()) return it->second ^ neg;
+    const Node node = nodes_[slot_of(n)];
     const NodeId lo = self(self, node.lo);
     const NodeId hi = self(self, node.hi);
     const NodeId result = make_node(mapped(node.var), lo, hi);
     memo.emplace(n, result);
-    return result;
+    return result ^ neg;
   };
   return Bdd(this, rec(rec, f.id()));
 }
@@ -133,26 +139,27 @@ NodeId BddManager::quant_rec(NodeId f, const std::vector<VarIndex>& vars,
   // Skip quantification variables above the current root: f cannot
   // depend on them. After this loop the effective idx is a function of
   // f alone (vars is sorted and recursion descends in variable order),
-  // so the per-call memo can be keyed by f.
-  // Copied (not referenced): the recursion below can reallocate the
-  // node table.
-  const Node n = nodes_[f];
-  while (idx < vars.size() && var2level_[vars[idx]] < var2level_[n.var]) {
+  // so the per-call memo can be keyed by f. Quantification does not
+  // commute with negation, so the key is the complemented edge itself.
+  const VarIndex var = var_of(f);
+  while (idx < vars.size() && var2level_[vars[idx]] < var2level_[var]) {
     ++idx;
   }
   if (idx >= vars.size()) return f;
 
   if (auto it = memo.find(f); it != memo.end()) return it->second;
 
+  NodeId f0, f1;
+  cofactors(f, var, f0, f1);
   NodeId result;
-  if (n.var == vars[idx]) {
-    const NodeId lo = quant_rec(n.lo, vars, idx + 1, existential, memo);
-    const NodeId hi = quant_rec(n.hi, vars, idx + 1, existential, memo);
+  if (var == vars[idx]) {
+    const NodeId lo = quant_rec(f0, vars, idx + 1, existential, memo);
+    const NodeId hi = quant_rec(f1, vars, idx + 1, existential, memo);
     result = existential ? or_rec(lo, hi) : and_rec(lo, hi);
   } else {
-    const NodeId lo = quant_rec(n.lo, vars, idx, existential, memo);
-    const NodeId hi = quant_rec(n.hi, vars, idx, existential, memo);
-    result = make_node(n.var, lo, hi);
+    const NodeId lo = quant_rec(f0, vars, idx, existential, memo);
+    const NodeId hi = quant_rec(f1, vars, idx, existential, memo);
+    result = make_node(var, lo, hi);
   }
   memo.emplace(f, result);
   return result;
@@ -179,9 +186,9 @@ NodeId BddManager::and_exists_rec(
     NodeId f, NodeId g, const std::vector<VarIndex>& vars, std::size_t idx,
     std::unordered_map<std::uint64_t, NodeId>& memo) {
   // Terminal cases of the conjunction.
-  if (f == kFalseId || g == kFalseId) return kFalseId;
+  if (f == kFalseId || g == kFalseId || f == (g ^ 1u)) return kFalseId;
   if (f == kTrueId && g == kTrueId) return kTrueId;
-  if (f == kTrueId) {
+  if (f == kTrueId || f == g) {
     std::unordered_map<NodeId, NodeId> qmemo;
     return quant_rec(g, vars, idx, /*existential=*/true, qmemo);
   }
@@ -190,10 +197,7 @@ NodeId BddManager::and_exists_rec(
     return quant_rec(f, vars, idx, /*existential=*/true, qmemo);
   }
 
-  const Node& nf = nodes_[f];
-  const Node& ng = nodes_[g];
-  const VarIndex top =
-      level2var_[std::min(var2level_[nf.var], var2level_[ng.var])];
+  const VarIndex top = level2var_[std::min(level_of(f), level_of(g))];
   // As in quant_rec, the effective idx is a function of (f, g): skip
   // quantification variables above the top variable.
   while (idx < vars.size() &&
@@ -209,10 +213,9 @@ NodeId BddManager::and_exists_rec(
       (static_cast<std::uint64_t>(kf) << 32) | static_cast<std::uint64_t>(kg);
   if (auto it = memo.find(key); it != memo.end()) return it->second;
 
-  const NodeId f0 = nf.var == top ? nf.lo : f;
-  const NodeId f1 = nf.var == top ? nf.hi : f;
-  const NodeId g0 = ng.var == top ? ng.lo : g;
-  const NodeId g1 = ng.var == top ? ng.hi : g;
+  NodeId f0, f1, g0, g1;
+  cofactors(f, top, f0, f1);
+  cofactors(g, top, g0, g1);
 
   NodeId result;
   if (vars[idx] == top) {
@@ -247,20 +250,25 @@ Bdd BddManager::transfer(const Bdd& f, BddManager& target,
     return v < mapping.size() ? mapping[v] : v;
   };
 
-  // Memo holds target handles so intermediate results survive the
-  // target's garbage collections during the rebuild.
+  // Memo over plain source edges; it holds target handles so
+  // intermediate results survive the target's garbage collections
+  // during the rebuild. A complemented edge negates the rebuilt node.
   std::unordered_map<NodeId, Bdd> memo;
   auto rec = [&](auto&& self, NodeId n) -> Bdd {
     if (n == kFalseId) return target.zero();
     if (n == kTrueId) return target.one();
-    if (auto it = memo.find(n); it != memo.end()) return it->second;
+    const bool neg = (n & 1u) != 0;
+    n = regular(n);
+    if (auto it = memo.find(n); it != memo.end()) {
+      return neg ? !it->second : it->second;
+    }
     const VarIndex v = mapped(source->var_of(n));
     const Bdd lo = self(self, source->low_of(n));
     const Bdd hi = self(self, source->high_of(n));
     // target.ite restores canonicity whatever the target order is.
-    Bdd result = target.ite(target.var(v), hi, lo);
+    const Bdd result = target.ite(target.var(v), hi, lo);
     memo.emplace(n, result);
-    return result;
+    return neg ? !result : result;
   };
   return rec(rec, f.id());
 }

@@ -31,9 +31,7 @@ Bdd Bdd::operator|(const Bdd& rhs) const { return mgr_->apply_or(*this, rhs); }
 Bdd Bdd::operator^(const Bdd& rhs) const { return mgr_->apply_xor(*this, rhs); }
 Bdd Bdd::operator!() const { return mgr_->apply_not(*this); }
 Bdd Bdd::xnor(const Bdd& rhs) const { return mgr_->apply_xnor(*this, rhs); }
-Bdd Bdd::implies(const Bdd& rhs) const {
-  return mgr_->apply_or(mgr_->apply_not(*this), rhs);
-}
+Bdd Bdd::implies(const Bdd& rhs) const { return mgr_->apply_or(!*this, rhs); }
 
 std::size_t Bdd::node_count() const {
   assert(mgr_ != nullptr);
@@ -72,13 +70,12 @@ BddManager::BddManager(const BddConfig& config)
   nodes_.reserve(cap);
   used_.reserve(cap);
 
-  // Terminal nodes occupy slots 0 and 1 and are never collected.
+  // The terminal (constant false) occupies slot 0 and is never
+  // collected.
   nodes_.push_back(Node{kTerminalVar, kFalseId, kFalseId, 0});
-  nodes_.push_back(Node{kTerminalVar, kTrueId, kTrueId, 0});
-  used_.push_back(kUsed);
   used_.push_back(kUsed);
 
-  buckets_.assign(round_up_pow2(cap), kFalseId);
+  buckets_.assign(round_up_pow2(cap), 0);
 
   cache_.assign(std::size_t{1} << config.cache_size_log2, CacheEntry{});
   cache_mask_ = cache_.size() - 1;
@@ -111,30 +108,36 @@ NodeId BddManager::make_node(VarIndex var, NodeId lo, NodeId hi) {
   assert(var2level_[var] < level_of(lo) && var2level_[var] < level_of(hi) &&
          "children must be below the node in the variable order");
 
+  // Canonical form: the stored low edge is plain. A complemented one is
+  // moved onto the returned edge, since !ite(v, h, l) == ite(v, !h, !l).
+  const NodeId c = lo & 1u;
+  lo ^= c;
+  hi ^= c;
   const std::size_t bucket = bucket_of(var, lo, hi);
-  for (NodeId n = buckets_[bucket]; n != kFalseId; n = nodes_[n].next) {
+  for (NodeId n = buckets_[bucket]; n != 0; n = nodes_[n].next) {
     const Node& node = nodes_[n];
     if (node.var == var && node.lo == lo && node.hi == hi) {
       ++stats_.unique_hits;
-      return n;
+      return edge_of(n) | c;
     }
   }
-  return allocate_slot(var, lo, hi);
+  return edge_of(allocate_slot(var, lo, hi)) | c;
 }
 
 NodeId BddManager::allocate_slot(VarIndex var, NodeId lo, NodeId hi) {
-  if (live_count_ + 2 >= hard_node_limit_) throw BddOverflow(hard_node_limit_);
+  // The limit counts the terminal with the live nodes.
+  if (live_count_ + 1 >= hard_node_limit_) throw BddOverflow(hard_node_limit_);
 
   // Grow the unique table before the load factor reaches 1. This must
   // happen before the new slot is marked used: rehash() files every
   // used slot, and the new slot's stale body would be linked into the
   // wrong chain.
-  if (live_count_ + 3 > buckets_.size()) {
+  if (live_count_ + 2 > buckets_.size()) {
     rehash(buckets_.size() * 2);
   }
 
   NodeId id;
-  if (free_head_ != kFalseId) {
+  if (free_head_ != 0) {
     id = free_head_;
     free_head_ = nodes_[id].next;
   } else {
@@ -155,8 +158,8 @@ NodeId BddManager::allocate_slot(VarIndex var, NodeId lo, NodeId hi) {
 }
 
 void BddManager::rehash(std::size_t new_bucket_count) {
-  buckets_.assign(round_up_pow2(new_bucket_count), kFalseId);
-  for (NodeId id = 2; id < nodes_.size(); ++id) {
+  buckets_.assign(round_up_pow2(new_bucket_count), 0);
+  for (NodeId id = 1; id < nodes_.size(); ++id) {
     if (!used_[id]) continue;
     Node& node = nodes_[id];
     const std::size_t bucket = bucket_of(node.var, node.lo, node.hi);
@@ -170,10 +173,7 @@ Bdd BddManager::var(VarIndex index) {
   return Bdd(this, make_node(index, kFalseId, kTrueId));
 }
 
-Bdd BddManager::nvar(VarIndex index) {
-  ensure_vars(index + 1);
-  return Bdd(this, make_node(index, kTrueId, kFalseId));
-}
+Bdd BddManager::nvar(VarIndex index) { return !var(index); }
 
 void BddManager::ensure_vars(VarIndex count) {
   while (num_vars_ < count) {
@@ -185,16 +185,17 @@ void BddManager::ensure_vars(VarIndex count) {
 }
 
 void BddManager::mark_reachable(NodeId root) {
-  // Iterative DFS; BDDs can be deep on wide circuits. Nodes are marked
-  // when pushed, so the stack never exceeds the live node count. The
-  // terminals are pre-marked and stop the walk.
+  // Iterative DFS over slots; BDDs can be deep on wide circuits. Slots
+  // are marked when pushed, so the stack never exceeds the live node
+  // count. The terminal is pre-marked and stops the walk.
+  root = slot_of(root);
   if (used_[root] & kMarked) return;
   used_[root] |= kMarked;
   gc_stack_.push_back(root);
   while (!gc_stack_.empty()) {
     const Node& node = nodes_[gc_stack_.back()];
     gc_stack_.pop_back();
-    for (const NodeId child : {node.lo, node.hi}) {
+    for (const NodeId child : {slot_of(node.lo), slot_of(node.hi)}) {
       if (used_[child] & kMarked) continue;
       used_[child] |= kMarked;
       gc_stack_.push_back(child);
@@ -207,8 +208,7 @@ void BddManager::gc() {
   ++stats_.gc_runs;
   const std::size_t live_before = live_count_;
 
-  used_[kFalseId] |= kMarked;
-  used_[kTrueId] |= kMarked;
+  used_[0] |= kMarked;
   for (const Bdd* h = handles_head_; h != nullptr; h = h->reg_next_) {
     mark_reachable(h->id_);
   }
@@ -216,15 +216,15 @@ void BddManager::gc() {
   // Sweep from the top down: rebuild the unique table from marked
   // nodes, drop the dead slots above the highest survivor, and thread
   // every dead slot below it onto the free list in ascending id order.
-  free_head_ = kFalseId;
+  free_head_ = 0;
   live_count_ = 0;
-  std::fill(buckets_.begin(), buckets_.end(), kFalseId);
-  std::size_t slots = 2;  // one past the highest surviving slot
-  for (std::size_t i = nodes_.size(); i-- > 2;) {
+  std::fill(buckets_.begin(), buckets_.end(), 0);
+  std::size_t slots = 1;  // one past the highest surviving slot
+  for (std::size_t i = nodes_.size(); i-- > 1;) {
     const NodeId id = static_cast<NodeId>(i);
     if (used_[id] & kMarked) {
       used_[id] = kUsed;
-      if (slots == 2) slots = i + 1;
+      if (slots == 1) slots = i + 1;
       Node& node = nodes_[id];
       const std::size_t bucket = bucket_of(node.var, node.lo, node.hi);
       node.next = buckets_[bucket];
@@ -232,12 +232,12 @@ void BddManager::gc() {
       ++live_count_;
     } else {
       used_[id] = 0;
-      if (slots == 2) continue;
+      if (slots == 1) continue;
       nodes_[id].next = free_head_;
       free_head_ = id;
     }
   }
-  used_[kFalseId] = used_[kTrueId] = kUsed;
+  used_[0] = kUsed;
   nodes_.resize(slots);
   used_.resize(slots);
 
@@ -294,17 +294,15 @@ void BddManager::cache_insert(Op op, NodeId f, NodeId g, NodeId h,
 
 std::string BddManager::check_invariants() const {
   const std::size_t n = nodes_.size();
-  if (used_.size() != n || n < 2) return "node table and flags disagree";
-  if (used_[kFalseId] != kUsed || used_[kTrueId] != kUsed) {
-    return "terminal slot not marked used";
-  }
+  if (used_.size() != n || n < 1) return "node table and flags disagree";
+  if (used_[0] != kUsed) return "terminal slot not marked used";
   auto slot = [](std::size_t id) { return "slot " + std::to_string(id); };
 
   // 0 = not seen, 1 = in a unique-table chain, 2 = on the free list.
   std::vector<std::uint8_t> seen(n, 0);
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    for (NodeId id = buckets_[b]; id != kFalseId; id = nodes_[id].next) {
-      if (id < 2 || id >= n) {
+    for (NodeId id = buckets_[b]; id != 0; id = nodes_[id].next) {
+      if (id >= n) {
         return "bucket " + std::to_string(b) + " links out-of-range " +
                slot(id);
       }
@@ -315,7 +313,7 @@ std::string BddManager::check_invariants() const {
       if (bucket_of(node.var, node.lo, node.hi) != b) {
         return slot(id) + " misfiled in bucket " + std::to_string(b);
       }
-      for (NodeId o = node.next; o != kFalseId && o < n && seen[o] == 0;
+      for (NodeId o = node.next; o != 0 && o < n && seen[o] == 0;
            o = nodes_[o].next) {
         const Node& other = nodes_[o];
         if (other.var == node.var && other.lo == node.lo &&
@@ -327,10 +325,22 @@ std::string BddManager::check_invariants() const {
   }
 
   std::size_t used_count = 0;
-  for (std::size_t id = 2; id < n; ++id) {
+  for (std::size_t id = 1; id < n; ++id) {
     if (used_[id] == 0) continue;
     if (used_[id] != kUsed) return slot(id) + " has stale flags";
     if (seen[id] != 1) return "used " + slot(id) + " is in no chain";
+    const Node& node = nodes_[id];
+    if (node.var >= num_vars_) return slot(id) + " has no variable";
+    if (node.lo & 1u) return slot(id) + " has a complemented low edge";
+    if (node.lo == node.hi) return slot(id) + " has equal children";
+    for (const NodeId child : {node.lo, node.hi}) {
+      if (slot_of(child) >= n || used_[slot_of(child)] == 0) {
+        return slot(id) + " has an unused child";
+      }
+      if (level_of(child) <= var2level_[node.var]) {
+        return slot(id) + " has a child above it in the order";
+      }
+    }
     ++used_count;
   }
   if (used_count != live_count_) {
@@ -339,16 +349,16 @@ std::string BddManager::check_invariants() const {
   }
 
   std::size_t free_count = 0;
-  for (NodeId id = free_head_; id != kFalseId; id = nodes_[id].next) {
-    if (id < 2 || id >= n) return "free list links out-of-range " + slot(id);
+  for (NodeId id = free_head_; id != 0; id = nodes_[id].next) {
+    if (id >= n) return "free list links out-of-range " + slot(id);
     if (used_[id] != 0) return "free list holds used " + slot(id);
     if (seen[id] != 0) return "free list revisits " + slot(id);
     seen[id] = 2;
     ++free_count;
   }
-  if (free_count != n - 2 - used_count) {
+  if (free_count != n - 1 - used_count) {
     return "free list holds " + std::to_string(free_count) + " of " +
-           std::to_string(n - 2 - used_count) + " unused slots";
+           std::to_string(n - 1 - used_count) + " unused slots";
   }
 
   // The handle registry: a well-linked list of handles of this manager,
@@ -363,8 +373,8 @@ std::string BddManager::check_invariants() const {
     }
     if (h->reg_prev_ != prev) return "registry back link broken";
     if (h->mgr_ != this) return "registry holds a foreign handle";
-    if (h->id_ >= n || used_[h->id_] == 0) {
-      return "handle names unused " + slot(h->id_);
+    if (slot_of(h->id_) >= n || used_[slot_of(h->id_)] == 0) {
+      return "handle names unused " + slot(slot_of(h->id_));
     }
     prev = h;
   }

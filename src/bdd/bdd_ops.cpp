@@ -1,9 +1,11 @@
-// Boolean operation kernels of the OBDD package: NOT / AND / OR / XOR /
-// ITE / cofactor. Each kernel is a classic depth-first recursion with
-// terminal-case short-circuits and memoization through the manager's
-// computed cache. Automatic garbage collection runs only at the public
-// entry points — never inside a recursion, where intermediate NodeIds
-// live solely on the call stack.
+// Boolean operation kernels of the OBDD package: AND / XOR / ITE /
+// cofactor, over complemented edges. NOT flips an edge's low bit and OR
+// is De Morgan over AND, so neither has a recursion of its own. Each
+// kernel is a classic depth-first recursion with terminal-case
+// short-circuits and memoization through the manager's computed cache.
+// Automatic garbage collection runs only at the public entry points —
+// never inside a recursion, where intermediate NodeIds live solely on
+// the call stack.
 
 #include <algorithm>
 #include <cassert>
@@ -26,8 +28,7 @@ inline void canonicalize(NodeId& f, NodeId& g) {
 
 Bdd BddManager::apply_not(const Bdd& f) {
   assert(f.manager() == this);
-  maybe_auto_gc();
-  return Bdd(this, not_rec(f.id()));
+  return Bdd(this, f.id() ^ 1u);
 }
 
 Bdd BddManager::apply_and(const Bdd& f, const Bdd& g) {
@@ -51,7 +52,7 @@ Bdd BddManager::apply_xor(const Bdd& f, const Bdd& g) {
 Bdd BddManager::apply_xnor(const Bdd& f, const Bdd& g) {
   assert(f.manager() == this && g.manager() == this);
   maybe_auto_gc();
-  return Bdd(this, not_rec(xor_rec(f.id(), g.id())));
+  return Bdd(this, xor_rec(f.id(), g.id()) ^ 1u);
 }
 
 Bdd BddManager::ite(const Bdd& f, const Bdd& g, const Bdd& h) {
@@ -71,39 +72,20 @@ Bdd BddManager::restrict_var(const Bdd& f, VarIndex v, bool value) {
 // Kernels
 // ---------------------------------------------------------------------------
 
-NodeId BddManager::not_rec(NodeId f) {
-  if (f == kFalseId) return kTrueId;
-  if (f == kTrueId) return kFalseId;
-
-  NodeId cached;
-  if (cache_lookup(Op::Not, f, 0, 0, cached)) return cached;
-
-  const Node n = nodes_[f];
-  const NodeId lo = not_rec(n.lo);
-  const NodeId hi = not_rec(n.hi);
-  const NodeId result = make_node(n.var, lo, hi);
-  cache_insert(Op::Not, f, 0, 0, result);
-  return result;
-}
-
 NodeId BddManager::and_rec(NodeId f, NodeId g) {
-  if (f == kFalseId || g == kFalseId) return kFalseId;
+  if (f == g) return f;
+  if (f == (g ^ 1u) || f == kFalseId || g == kFalseId) return kFalseId;
   if (f == kTrueId) return g;
   if (g == kTrueId) return f;
-  if (f == g) return f;
   canonicalize(f, g);
 
   NodeId cached;
   if (cache_lookup(Op::And, f, g, 0, cached)) return cached;
 
-  const Node& nf = nodes_[f];
-  const Node& ng = nodes_[g];
-  const VarIndex top_level = std::min(var2level_[nf.var], var2level_[ng.var]);
-  const VarIndex top = level2var_[top_level];
-  const NodeId f0 = nf.var == top ? nf.lo : f;
-  const NodeId f1 = nf.var == top ? nf.hi : f;
-  const NodeId g0 = ng.var == top ? ng.lo : g;
-  const NodeId g1 = ng.var == top ? ng.hi : g;
+  const VarIndex top = level2var_[std::min(level_of(f), level_of(g))];
+  NodeId f0, f1, g0, g1;
+  cofactors(f, top, f0, f1);
+  cofactors(g, top, g0, g1);
 
   const NodeId lo = and_rec(f0, g0);
   const NodeId hi = and_rec(f1, g1);
@@ -112,106 +94,104 @@ NodeId BddManager::and_rec(NodeId f, NodeId g) {
   return result;
 }
 
-NodeId BddManager::or_rec(NodeId f, NodeId g) {
-  if (f == kTrueId || g == kTrueId) return kTrueId;
-  if (f == kFalseId) return g;
-  if (g == kFalseId) return f;
-  if (f == g) return f;
-  canonicalize(f, g);
-
-  NodeId cached;
-  if (cache_lookup(Op::Or, f, g, 0, cached)) return cached;
-
-  const Node& nf = nodes_[f];
-  const Node& ng = nodes_[g];
-  const VarIndex top_level = std::min(var2level_[nf.var], var2level_[ng.var]);
-  const VarIndex top = level2var_[top_level];
-  const NodeId f0 = nf.var == top ? nf.lo : f;
-  const NodeId f1 = nf.var == top ? nf.hi : f;
-  const NodeId g0 = ng.var == top ? ng.lo : g;
-  const NodeId g1 = ng.var == top ? ng.hi : g;
-
-  const NodeId lo = or_rec(f0, g0);
-  const NodeId hi = or_rec(f1, g1);
-  const NodeId result = make_node(top, lo, hi);
-  cache_insert(Op::Or, f, g, 0, result);
-  return result;
-}
-
 NodeId BddManager::xor_rec(NodeId f, NodeId g) {
-  if (f == kFalseId) return g;
-  if (g == kFalseId) return f;
-  if (f == kTrueId) return not_rec(g);
-  if (g == kTrueId) return not_rec(f);
   if (f == g) return kFalseId;
+  if (f == (g ^ 1u)) return kTrueId;
+  if (f <= kTrueId) return g ^ f;  // 0 ^ g == g, 1 ^ g == !g
+  if (g <= kTrueId) return f ^ g;
+  // Negation commutes out of XOR: compute on the plain pair.
+  const NodeId c = (f ^ g) & 1u;
+  f = regular(f);
+  g = regular(g);
   canonicalize(f, g);
 
   NodeId cached;
-  if (cache_lookup(Op::Xor, f, g, 0, cached)) return cached;
+  if (cache_lookup(Op::Xor, f, g, 0, cached)) return cached ^ c;
 
-  const Node& nf = nodes_[f];
-  const Node& ng = nodes_[g];
-  const VarIndex top_level = std::min(var2level_[nf.var], var2level_[ng.var]);
-  const VarIndex top = level2var_[top_level];
-  const NodeId f0 = nf.var == top ? nf.lo : f;
-  const NodeId f1 = nf.var == top ? nf.hi : f;
-  const NodeId g0 = ng.var == top ? ng.lo : g;
-  const NodeId g1 = ng.var == top ? ng.hi : g;
+  const VarIndex top = level2var_[std::min(level_of(f), level_of(g))];
+  NodeId f0, f1, g0, g1;
+  cofactors(f, top, f0, f1);
+  cofactors(g, top, g0, g1);
 
   const NodeId lo = xor_rec(f0, g0);
   const NodeId hi = xor_rec(f1, g1);
   const NodeId result = make_node(top, lo, hi);
   cache_insert(Op::Xor, f, g, 0, result);
-  return result;
+  return result ^ c;
 }
 
 NodeId BddManager::ite_rec(NodeId f, NodeId g, NodeId h) {
   // Terminal cases.
   if (f == kTrueId) return g;
   if (f == kFalseId) return h;
+  // An operand equal to f or !f is a constant under f's branches.
+  if (g == f) {
+    g = kTrueId;
+  } else if (g == (f ^ 1u)) {
+    g = kFalseId;
+  }
+  if (h == f) {
+    h = kFalseId;
+  } else if (h == (f ^ 1u)) {
+    h = kTrueId;
+  }
   if (g == h) return g;
   if (g == kTrueId && h == kFalseId) return f;
-  if (g == kFalseId && h == kTrueId) return not_rec(f);
-  if (f == g) return or_rec(f, h);    // ite(f, f, h) == f | h
-  if (f == h) return and_rec(f, g);   // ite(f, g, f) == f & g
+  if (g == kFalseId && h == kTrueId) return f ^ 1u;
+  // Two-operand forms share the AND and XOR caches.
+  if (g == kTrueId) return or_rec(f, h);
+  if (g == kFalseId) return and_rec(f ^ 1u, h);
+  if (h == kFalseId) return and_rec(f, g);
+  if (h == kTrueId) return or_rec(f ^ 1u, g);
+  if (g == (h ^ 1u)) return xor_rec(f, h);
+
+  // Normal form: a plain f (ite(!f, g, h) == ite(f, h, g)) and a plain
+  // g (ite(f, !g, !h) == !ite(f, g, h)).
+  if (f & 1u) {
+    f ^= 1u;
+    std::swap(g, h);
+  }
+  const NodeId c = g & 1u;
+  g ^= c;
+  h ^= c;
 
   NodeId cached;
-  if (cache_lookup(Op::Ite, f, g, h, cached)) return cached;
+  if (cache_lookup(Op::Ite, f, g, h, cached)) return cached ^ c;
 
-  const VarIndex top_level =
-      std::min(level_of(f), std::min(level_of(g), level_of(h)));
-  const VarIndex top = level2var_[top_level];
+  const VarIndex top =
+      level2var_[std::min(level_of(f), std::min(level_of(g), level_of(h)))];
+  NodeId f0, f1, g0, g1, h0, h1;
+  cofactors(f, top, f0, f1);
+  cofactors(g, top, g0, g1);
+  cofactors(h, top, h0, h1);
 
-  auto cof = [&](NodeId x, bool hi_branch) {
-    const Node& nx = nodes_[x];
-    if (x <= kTrueId || nx.var != top) return x;
-    return hi_branch ? nx.hi : nx.lo;
-  };
-
-  const NodeId lo = ite_rec(cof(f, false), cof(g, false), cof(h, false));
-  const NodeId hi = ite_rec(cof(f, true), cof(g, true), cof(h, true));
+  const NodeId lo = ite_rec(f0, g0, h0);
+  const NodeId hi = ite_rec(f1, g1, h1);
   const NodeId result = make_node(top, lo, hi);
   cache_insert(Op::Ite, f, g, h, result);
-  return result;
+  return result ^ c;
 }
 
 NodeId BddManager::restrict_rec(NodeId f, VarIndex v, bool value) {
   if (f <= kTrueId) return f;
+  // Cofactoring commutes with negation: compute on the plain edge.
+  const NodeId c = f & 1u;
+  f ^= c;
   // Copied (not referenced): the recursion below can reallocate the
   // node table.
-  const Node n = nodes_[f];
-  if (var2level_[n.var] > var2level_[v]) return f;  // f is below v
-  if (n.var == v) return value ? n.hi : n.lo;
+  const Node n = nodes_[slot_of(f)];
+  if (var2level_[n.var] > var2level_[v]) return f ^ c;  // f is below v
+  if (n.var == v) return (value ? n.hi : n.lo) ^ c;
 
   const Op op = value ? Op::Restrict1 : Op::Restrict0;
   NodeId cached;
-  if (cache_lookup(op, f, v, 0, cached)) return cached;
+  if (cache_lookup(op, f, v, 0, cached)) return cached ^ c;
 
   const NodeId lo = restrict_rec(n.lo, v, value);
   const NodeId hi = restrict_rec(n.hi, v, value);
   const NodeId result = make_node(n.var, lo, hi);
   cache_insert(op, f, v, 0, result);
-  return result;
+  return result ^ c;
 }
 
 }  // namespace motsim::bdd
@@ -231,18 +211,19 @@ NodeId BddManager::constrain_rec(NodeId f, NodeId c) {
   // Coudert-Madre generalized cofactor. Precondition: c != 0.
   if (c == kTrueId || f <= kTrueId) return f;
   if (f == c) return kTrueId;
+  if (f == (c ^ 1u)) return kFalseId;
+  // constrain(!f, c) == !constrain(f, c): compute on the plain f. The
+  // care set keeps its polarity.
+  const NodeId neg = f & 1u;
+  f ^= neg;
 
   NodeId cached;
-  if (cache_lookup(Op::Constrain, f, c, 0, cached)) return cached;
+  if (cache_lookup(Op::Constrain, f, c, 0, cached)) return cached ^ neg;
 
-  const Node& nf = nodes_[f];
-  const Node& nc = nodes_[c];
-  const VarIndex top =
-      level2var_[std::min(var2level_[nf.var], var2level_[nc.var])];
-  const NodeId f0 = nf.var == top ? nf.lo : f;
-  const NodeId f1 = nf.var == top ? nf.hi : f;
-  const NodeId c0 = nc.var == top ? nc.lo : c;
-  const NodeId c1 = nc.var == top ? nc.hi : c;
+  const VarIndex top = level2var_[std::min(level_of(f), level_of(c))];
+  NodeId f0, f1, c0, c1;
+  cofactors(f, top, f0, f1);
+  cofactors(c, top, c0, c1);
 
   NodeId result;
   if (c0 == kFalseId) {
@@ -256,7 +237,7 @@ NodeId BddManager::constrain_rec(NodeId f, NodeId c) {
     result = make_node(top, lo, hi);
   }
   cache_insert(Op::Constrain, f, c, 0, result);
-  return result;
+  return result ^ neg;
 }
 
 }  // namespace motsim::bdd

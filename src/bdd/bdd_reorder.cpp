@@ -5,7 +5,9 @@
 // IDENTITY (NodeId) always denotes the same boolean function: the
 // exchange rewrites a node's (var, lo, hi) triple but preserves its
 // function, so every registered handle and every computed-cache entry
-// stays valid. Only the *shape* of the DAG changes.
+// stays valid. Only the *shape* of the DAG changes. The rewritten
+// triple keeps an uncomplemented low edge, so no edge into the node
+// has to change polarity.
 
 #include <algorithm>
 #include <cassert>
@@ -67,23 +69,22 @@ void BddManager::swap_adjacent_levels(VarIndex level) {
     nodes_[cur].next = node.next;
   };
 
-  for (NodeId id = 2; id < snapshot; ++id) {
+  for (NodeId id = 1; id < snapshot; ++id) {
     if (!used_[id] || nodes_[id].var != u) continue;
     const NodeId f0 = nodes_[id].lo;
     const NodeId f1 = nodes_[id].hi;
-    const bool lo_branches = nodes_[f0].var == v;
-    const bool hi_branches = nodes_[f1].var == v;
-    if (!lo_branches && !hi_branches) continue;  // valid as-is
+    if (var_of(f0) != v && var_of(f1) != v) continue;  // valid as-is
 
-    const NodeId f00 = lo_branches ? nodes_[f0].lo : f0;
-    const NodeId f01 = lo_branches ? nodes_[f0].hi : f0;
-    const NodeId f10 = hi_branches ? nodes_[f1].lo : f1;
-    const NodeId f11 = hi_branches ? nodes_[f1].hi : f1;
+    NodeId f00, f01, f10, f11;
+    cofactors(f0, v, f00, f01);
+    cofactors(f1, v, f10, f11);
 
     // ite(u, f1, f0) == ite(v, ite(u, f11, f01), ite(u, f10, f00)).
+    // f0 is plain, so f00 and with it n0 are plain too.
     const NodeId n0 = make_node(u, f00, f10);
     const NodeId n1 = make_node(u, f01, f11);
     assert(n0 != n1 && "swap produced a reducible node");
+    assert((n0 & 1u) == 0 && "swap produced a complemented low edge");
 
     unlink_from_bucket(id);
     Node& node = nodes_[id];
@@ -130,7 +131,7 @@ std::size_t BddManager::reorder_sift(double max_growth) {
 
   // Most populous variables first (they have the most leverage).
   std::vector<std::size_t> population(num_vars_, 0);
-  for (NodeId id = 2; id < nodes_.size(); ++id) {
+  for (NodeId id = 1; id < nodes_.size(); ++id) {
     if (used_[id]) ++population[nodes_[id].var];
   }
   std::vector<VarIndex> order_of_attack(num_vars_);

@@ -36,12 +36,12 @@ Expected<bool, std::string> check_hybrid_config(const Netlist& netlist,
   }
   // run() seeds one state-variable node per flip-flop before the first
   // frame, outside the frame's overflow recovery. The manager refuses a
-  // node once live + 2 reaches the hard limit, so m flip-flops need a
-  // hard limit of at least m + 2.
+  // node once live + 1 (the terminal) reaches the hard limit, so m
+  // flip-flops need a hard limit of at least m + 1.
   const std::size_t m = netlist.dff_count();
   const std::size_t f = config.hard_limit_factor;
-  if (m != 0 && hard_node_limit(config) < m + 2) {
-    const std::size_t smallest = (m + 2) / f + ((m + 2) % f != 0 ? 1 : 0);
+  if (m != 0 && hard_node_limit(config) < m + 1) {
+    const std::size_t smallest = (m + 1) / f + ((m + 1) % f != 0 ? 1 : 0);
     return Err{"HybridConfig: node_limit " +
                std::to_string(config.node_limit) + " cannot hold the " +
                std::to_string(m) +

@@ -29,7 +29,7 @@ Expected<SimOptions, std::string> SimOptions::validate() const {
                " (0 = one per hardware thread)"};
   }
   if (bdd_initial_capacity < 2) {
-    return Err{"bdd_initial_capacity must hold at least the two terminals"};
+    return Err{"bdd_initial_capacity must be at least 2"};
   }
   if (bdd_cache_size_log2 < 4 || bdd_cache_size_log2 > 30) {
     return Err{"bdd_cache_size_log2 must be in [4, 30]"};

@@ -132,6 +132,10 @@ Response Service::handle_fault_sim(const FaultSimRequest& req) {
   if (checked->run_symbolic) {
     const auto fits = check_hybrid_config(nl, checked->to_hybrid_config());
     if (!fits.has_value()) return bad_request(req.id, fits.error());
+  } else if (req.use_store && !store_root_.empty()) {
+    return bad_request(req.id,
+                       "FAULT_SIM: use_store requires the symbolic engine "
+                       "(run_symbolic=false has no campaign path)");
   }
 
   Rng rng(options.seed);

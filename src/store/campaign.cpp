@@ -179,8 +179,9 @@ Expected<bool, std::string> check_fingerprints(const StoreManifest& m,
   }
   if (fingerprint_options(m.options) != m.fp_options) {
     return Err{"store at " + dir +
-               " has an inconsistent manifest (options fingerprint "
-               "mismatch — manifest edited by hand?)"};
+               " was created for a different workload (options fingerprint "
+               "mismatch: written under an older fingerprint schema, or "
+               "the manifest was edited by hand)"};
   }
   return true;
 }

@@ -68,8 +68,12 @@ std::uint64_t fingerprint_options(const SimOptions& options) {
   // when the implication engine joined stage 0 (it can add
   // StaticUntestable INIT records an older reader would reject), so
   // only analysis-on stores were invalidated; analysis-off stores
-  // hash exactly as before.
-  h.update_u64(options.analysis ? 3 : 2);
+  // hash exactly as before. Symbolic runs moved up by 2 (to 4 and 5)
+  // when the BDD package switched to complement edges: node counts
+  // decide where fallback windows open, so a store written with the
+  // plain-node package would resume with other verdicts. X01-only
+  // runs hash exactly as before.
+  h.update_u64((options.analysis ? 3 : 2) + (options.run_symbolic ? 2 : 0));
   h.update_u64(options.analysis ? 1 : 0);
   h.update_u64(options.run_xred ? 1 : 0);
   // The sim3 backend is excluded by contract — both backends are

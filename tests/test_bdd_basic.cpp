@@ -91,7 +91,8 @@ TEST(BddBasic, NodeCountOfSimpleFunctions) {
   EXPECT_EQ(mgr.zero().node_count(), 0u);
   EXPECT_EQ(a.node_count(), 1u);
   EXPECT_EQ((a & b).node_count(), 2u);
-  EXPECT_EQ((a ^ b).node_count(), 3u);  // xor needs both phases of b
+  // xor reaches b's node through a plain and a complemented edge.
+  EXPECT_EQ((a ^ b).node_count(), 2u);
 }
 
 TEST(BddBasic, SharedNodeCountOfSets) {
@@ -189,11 +190,27 @@ TEST(BddBasic, ImpliesAndXnor) {
 
 TEST(BddBasic, ToDotContainsStructure) {
   BddManager mgr;
-  const Bdd f = mgr.var(0) & mgr.var(1);
-  const std::string dot = mgr.to_dot(f, "f");
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("x0"), std::string::npos);
-  EXPECT_NE(dot.find("x1"), std::string::npos);
+  const Bdd x0 = mgr.var(0);  // slot 1
+  const Bdd x1 = mgr.var(1);  // slot 2
+  const Bdd f = x0 & x1;      // slot 3
+  // One terminal box; low edges dashed; the complemented high edge of
+  // x1 (to constant 1) has an open-dot arrowhead.
+  EXPECT_EQ(mgr.to_dot(f, "f"),
+            "digraph \"f\" {\n"
+            "  rankdir=TB;\n"
+            "  root [shape=point];\n"
+            "  node0 [label=\"0\", shape=box];\n"
+            "  root -> node3;\n"
+            "  node3 [label=\"x0\", shape=circle];\n"
+            "  node3 -> node0 [style=dashed];\n"
+            "  node3 -> node2;\n"
+            "  node2 [label=\"x1\", shape=circle];\n"
+            "  node2 -> node0 [style=dashed];\n"
+            "  node2 -> node0 [arrowhead=odot];\n"
+            "}\n");
+  // Negation draws the same nodes behind a complemented root edge.
+  EXPECT_NE(mgr.to_dot(!f, "nf").find("root -> node3 [arrowhead=odot];"),
+            std::string::npos);
 }
 
 TEST(BddBasic, StatsCountNodeCreation) {

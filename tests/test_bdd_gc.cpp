@@ -99,7 +99,7 @@ TEST(BddGc, LimitCanBeRaisedAfterOverflow) {
   mgr.gc();  // reclaim the partial garbage
   mgr.set_hard_node_limit(static_cast<std::size_t>(-1));
   const Bdd parity = build();
-  EXPECT_EQ(parity.node_count(), 23u);
+  EXPECT_EQ(parity.node_count(), 12u);  // one node per variable
 }
 
 TEST(BddGc, AutoGcTriggersUnderChurn) {
@@ -329,12 +329,12 @@ TEST(BddGc, SlotCountStaysWithinPeakLiveUnderChurn) {
     }
     mgr.gc();
     // Slots only grow when no free slot is left, i.e. when every slot
-    // is live: the table never exceeds the live peak plus terminals.
-    ASSERT_LE(mgr.node_slot_count(), mgr.stats().peak_live_nodes + 2)
+    // is live: the table never exceeds the live peak plus the terminal.
+    ASSERT_LE(mgr.node_slot_count(), mgr.stats().peak_live_nodes + 1)
         << "cycle " << cycle;
     ASSERT_EQ(mgr.check_invariants(), "") << "cycle " << cycle;
   }
-  EXPECT_LE(mgr.stats().peak_node_slots, mgr.stats().peak_live_nodes + 2);
+  EXPECT_LE(mgr.stats().peak_node_slots, mgr.stats().peak_live_nodes + 1);
   EXPECT_GE(mgr.stats().peak_node_slots, mgr.node_slot_count());
 }
 
@@ -347,27 +347,27 @@ TEST(BddGc, TrailingDeadSlotsAreTrimmed) {
     EXPECT_GT(mgr.node_slot_count(), 30u);
   }
   mgr.gc();
-  // Only the terminals and the three projections below the garbage.
-  EXPECT_EQ(mgr.node_slot_count(), 5u);
+  // Only the terminal and the three projections below the garbage.
+  EXPECT_EQ(mgr.node_slot_count(), 4u);
   EXPECT_EQ(mgr.live_node_count(), 3u);
   EXPECT_EQ(mgr.check_invariants(), "");
 }
 
 TEST(BddGc, FreeSlotsAreReusedLowestIdFirst) {
   BddManager mgr;
-  const Bdd a = mgr.var(0);    // slot 2
-  Bdd b = mgr.var(1);          // slot 3
-  Bdd c = mgr.var(2);          // slot 4
-  const Bdd d = mgr.var(3);    // slot 5
+  const Bdd a = mgr.var(0);    // slot 1, edge 2
+  Bdd b = mgr.var(1);          // slot 2
+  Bdd c = mgr.var(2);          // slot 3
+  const Bdd d = mgr.var(3);    // slot 4, edge 8
   ASSERT_EQ(a.id(), 2u);
-  ASSERT_EQ(d.id(), 5u);
+  ASSERT_EQ(d.id(), 8u);
   c = Bdd();
   b = Bdd();
   mgr.gc();
-  EXPECT_EQ(mgr.node_slot_count(), 6u);
-  EXPECT_EQ(mgr.var(7).id(), 3u);
-  EXPECT_EQ(mgr.var(8).id(), 4u);
-  EXPECT_EQ(mgr.var(9).id(), 6u);  // free list empty: the table grows
+  EXPECT_EQ(mgr.node_slot_count(), 5u);
+  EXPECT_EQ(mgr.var(7).id(), 4u);   // slot 2
+  EXPECT_EQ(mgr.var(8).id(), 6u);   // slot 3
+  EXPECT_EQ(mgr.var(9).id(), 10u);  // slot 5: free list empty, table grows
   EXPECT_EQ(mgr.check_invariants(), "");
 }
 

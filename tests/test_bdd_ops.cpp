@@ -177,8 +177,9 @@ TEST(BddOps, ParityFunctionSize) {
   Bdd parity = mgr.zero();
   const unsigned n = 10;
   for (unsigned v = 0; v < n; ++v) parity ^= mgr.var(v);
-  // Parity has 2n-1 nodes under any order.
-  EXPECT_EQ(parity.node_count(), 2 * n - 1);
+  // Parity has one node per variable under any order: each level's
+  // node serves both phases through a complemented edge.
+  EXPECT_EQ(parity.node_count(), n);
 }
 
 TEST(BddOps, CacheHitsAccumulate) {

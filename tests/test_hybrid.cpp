@@ -205,10 +205,11 @@ TEST(Hybrid, HardLimitSaturatesInsteadOfOverflowing) {
 
 TEST(Hybrid, HardLimitBelowTheStateSeedIsRejected) {
   // s298 has 14 flip-flops. run() seeds 14 state-variable nodes before
-  // the first frame, and the manager refuses a node once live + 2
-  // reaches the hard limit: a hard limit of 16 is the smallest that
-  // works. Below it the constructor names the smallest node_limit;
-  // at it the run completes (falling back as often as it must).
+  // the first frame, and the manager refuses a node once live + 1 (the
+  // terminal) reaches the hard limit: a hard limit of 15 is the
+  // smallest that works. Below it the constructor names the smallest
+  // node_limit; at it the run completes (falling back as often as it
+  // must).
   const Netlist nl = make_benchmark("s298");
   ASSERT_EQ(nl.dff_count(), 14u);
   const CollapsedFaultList c(nl);
@@ -217,7 +218,7 @@ TEST(Hybrid, HardLimitBelowTheStateSeedIsRejected) {
   struct Cell {
     std::size_t factor, smallest;
   };
-  for (const Cell cell : {Cell{8, 2}, Cell{2, 8}, Cell{1, 16}}) {
+  for (const Cell cell : {Cell{8, 2}, Cell{2, 8}, Cell{1, 15}}) {
     HybridConfig cfg = tight(Strategy::Mot, cell.smallest - 1);
     cfg.hard_limit_factor = cell.factor;
     try {
@@ -368,32 +369,31 @@ PipelineWork pipeline_work(const char* circuit, Strategy strategy,
 // symbolic loop creates, and when it collects, therefore decide where
 // fallback windows open and so the verdicts. A change to the frame
 // loop's bookkeeping must leave these counts exactly as they are. The
-// expected values were recorded with the frame loop that scanned every
-// output per fault-frame, stepped the event queue level by level and
-// applied the identity constant first in eval_gate_sym.
+// expected values were recorded with the complement-edge BDD package
+// (one terminal slot, counted by the hard limit).
 
 TEST(HybridDeterminism, S5378MotHardLimitCellKeepsItsBddWork) {
   const PipelineWork w = pipeline_work("s5378", Strategy::Mot, 40, 1);
-  EXPECT_EQ(w.peak_live_nodes, 239998u);  // the 8 x 30,000 hard limit trips
-  EXPECT_EQ(w.nodes_created, 1032489u);
-  EXPECT_EQ(w.cache_lookups, 6941163u);
-  EXPECT_EQ(w.gc_runs, 28u);
+  EXPECT_EQ(w.peak_live_nodes, 239999u);  // the 8 x 30,000 hard limit trips
+  EXPECT_EQ(w.nodes_created, 1015990u);
+  EXPECT_EQ(w.cache_lookups, 5980284u);
+  EXPECT_EQ(w.gc_runs, 30u);
   EXPECT_EQ(w.fallback_windows, 3u);
   EXPECT_EQ(w.symbolic_frames, 16u);
   EXPECT_EQ(w.three_valued_frames, 24u);
-  EXPECT_EQ(w.detected, 1982u);
-  EXPECT_EQ(w.verdict_digest, 0x9ecc3e593f32f608ull);
+  EXPECT_EQ(w.detected, 1987u);
+  EXPECT_EQ(w.verdict_digest, 0x886e1eecc850cb97ull);
 }
 
 TEST(HybridDeterminism, S953RmotCellKeepsItsBddWork) {
   const PipelineWork w = pipeline_work("s953", Strategy::Rmot, 48, 1);
-  EXPECT_EQ(w.peak_live_nodes, 74848u);
-  EXPECT_EQ(w.nodes_created, 1249121u);
-  EXPECT_EQ(w.cache_lookups, 4099577u);
-  EXPECT_EQ(w.gc_runs, 50u);
-  EXPECT_EQ(w.fallback_windows, 3u);
-  EXPECT_EQ(w.symbolic_frames, 30u);
-  EXPECT_EQ(w.three_valued_frames, 18u);
+  EXPECT_EQ(w.peak_live_nodes, 71222u);
+  EXPECT_EQ(w.nodes_created, 1400542u);
+  EXPECT_EQ(w.cache_lookups, 4119428u);
+  EXPECT_EQ(w.gc_runs, 55u);
+  EXPECT_EQ(w.fallback_windows, 2u);
+  EXPECT_EQ(w.symbolic_frames, 32u);
+  EXPECT_EQ(w.three_valued_frames, 16u);
   EXPECT_EQ(w.detected, 84u);
   EXPECT_EQ(w.verdict_digest, 0xeb9b0e53a7e849ecull);
 }

@@ -579,11 +579,11 @@ TEST(PipelineTelemetry, ModeSecondsAndPeakNodesInvariants) {
                                       opts.hard_limit_factor));
 
   // GC time is part of the (serial) symbolic stage, and the node table
-  // holds at least the live peak plus the two terminals.
+  // holds at least the live peak plus the terminal.
   const double gc_seconds = gauge_value(s, "bdd.gc_seconds");
   EXPECT_GT(gc_seconds, 0.0);
   EXPECT_LE(gc_seconds, total + 1e-6);
-  EXPECT_GE(gauge_value(s, "bdd.node_slots"), peak + 2);
+  EXPECT_GE(gauge_value(s, "bdd.node_slots"), peak + 1);
 
   // The apply cache saw traffic and hits never exceed lookups.
   EXPECT_LE(counter_value(s, "bdd.apply_cache_hits"),

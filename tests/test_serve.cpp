@@ -543,6 +543,33 @@ TEST(Service, SemanticErrorsComeBackTyped) {
     EXPECT_FALSE(std::filesystem::exists(root));
     std::filesystem::remove_all(root);
   }
+  // A campaign request with the symbolic engine off: campaigns have no
+  // X01-only path, so it is a client error, answered before any store
+  // directory is created.
+  {
+    const std::filesystem::path root =
+        std::filesystem::temp_directory_path() /
+        ("motsim_serve_nosym_" +
+         std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+    std::filesystem::remove_all(root);
+    Service store_service(4, root.string(), nullptr);
+    FaultSimRequest req;
+    req.id = 36;
+    req.circuit = CircuitRef{CircuitRef::Kind::Roster, "s27"};
+    req.vectors = 16;
+    req.use_store = true;
+    req.options.run_symbolic = false;
+    const Response resp = store_service.handle(Request{req});
+    ASSERT_TRUE(std::holds_alternative<ErrorResponse>(resp));
+    const ErrorResponse& err = std::get<ErrorResponse>(resp);
+    EXPECT_EQ(err.code, ErrorCode::BadRequest);
+    EXPECT_EQ(err.id, 36u);
+    EXPECT_NE(err.message.find("use_store requires the symbolic engine"),
+              std::string::npos)
+        << err.message;
+    EXPECT_FALSE(std::filesystem::exists(root));
+    std::filesystem::remove_all(root);
+  }
   // Mis-sized tester response.
   {
     TestEvalRequest req;

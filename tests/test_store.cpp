@@ -145,6 +145,32 @@ TEST(Fingerprint, Sim3BackendIsExcludedFromOptionsFingerprint) {
   EXPECT_NE(fingerprint_options(event_opts), fingerprint_options(other));
 }
 
+// Options digests of default SimOptions under the fingerprint schema
+// of the plain-node BDD package (versions 2 and 3).
+constexpr std::uint64_t kPlainNodeX01Digest = 0xfd2661dec891a55aull;
+constexpr std::uint64_t kPlainNodeX01AnalysisDigest = 0xcf1cd14fc5d6023aull;
+constexpr std::uint64_t kPlainNodeSymbolicDigest = 0x2c88ad91e5bbf2b7ull;
+constexpr std::uint64_t kPlainNodeSymbolicAnalysisDigest =
+    0xb0f83d91004f5417ull;
+/// ... and of default SimOptions with checkpoint_interval 32, the
+/// options a default campaign records.
+constexpr std::uint64_t kPlainNodeCampaignDigest = 0x0009c6e0400f46d7ull;
+
+TEST(Fingerprint, OnlySymbolicRunsLeftThePlainNodeSchema) {
+  // Complement edges move fallback windows, so symbolic stores written
+  // with the plain-node package hash differently now; X01-only runs
+  // never build a BDD and keep their digests.
+  SimOptions o;
+  o.run_symbolic = false;
+  EXPECT_EQ(fingerprint_options(o), kPlainNodeX01Digest);
+  o.analysis = true;
+  EXPECT_EQ(fingerprint_options(o), kPlainNodeX01AnalysisDigest);
+  o.run_symbolic = true;
+  EXPECT_NE(fingerprint_options(o), kPlainNodeSymbolicAnalysisDigest);
+  o.analysis = false;
+  EXPECT_NE(fingerprint_options(o), kPlainNodeSymbolicDigest);
+}
+
 TEST(StoreManifest, RejectsUnknownKeyMissingVersionAndBadSegments) {
   EXPECT_FALSE(StoreManifest::from_text("version 1\nbogus_key 7\n"));
   EXPECT_FALSE(StoreManifest::from_text("circuit s27\n"));  // no version
@@ -424,6 +450,38 @@ TEST(CampaignStore, RejectsMismatchedWorkloads) {
   ASSERT_FALSE(wrong_seq.has_value());
   EXPECT_NE(wrong_seq.error().find("does not match the manifest"),
             std::string::npos);
+}
+
+TEST(CampaignStore, RefusesAStoreOfThePlainNodeSchema) {
+  // A store written before complement edges: its manifest carries the
+  // old-schema digest of the same options. Resuming it would replay
+  // other fallback windows, so it is refused as a different workload.
+  TempDir tmp("old_schema");
+  const Netlist s27 = make_s27();
+  const CollapsedFaultList f27(s27);
+  Rng rng(5);
+  const TestSequence seq = random_sequence(s27, 16, rng);
+  SimOptions opts;
+  opts.checkpoint_interval = 32;
+  ASSERT_TRUE(
+      run_campaign(s27, f27.faults(), seq, opts, tmp.sub("camp")).has_value());
+  ASSERT_TRUE(
+      resume_campaign(s27, f27.faults(), tmp.sub("camp")).has_value());
+
+  const std::string manifest = tmp.sub("camp") + "/manifest.txt";
+  std::string text = slurp(manifest);
+  const std::string line =
+      "fp_options " + fingerprint_to_hex(fingerprint_options(opts));
+  const auto at = text.find(line);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, line.size(),
+               "fp_options " + fingerprint_to_hex(kPlainNodeCampaignDigest));
+  std::ofstream(manifest, std::ios::binary | std::ios::trunc) << text;
+
+  const auto old = resume_campaign(s27, f27.faults(), tmp.sub("camp"));
+  ASSERT_FALSE(old.has_value());
+  EXPECT_NE(old.error().find("different workload"), std::string::npos)
+      << old.error();
 }
 
 TEST(CampaignStore, RefusesXInputsEmptySequencesAndNoSymbolic) {
